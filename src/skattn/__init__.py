@@ -11,9 +11,9 @@ from .former import (Block, BlockConfig, LayerNorm, Mlp, Model, ModelConfig, Sta
 from .mixers import (ACTIVATIONS, KINDS, ConvStaticKeyAttention, MixerConfig,
                      MixerProperties, SelfAttention, SepConv, StaticKeyAttention,
                      TokenMixer, attention_trace, build_mixer, mixer_properties)
-from .tensor import (MacCounter, Rng, Tensor, concat, conv2d_grouped, dropout,
-                     finite_checks, gather_last, gelu, log_softmax_rows, matmul, mean,
-                     relu, reshape, rng_normal, slice_axis, softmax_rows, transpose)
+from .tensor import (MacCounter, Rng, Tensor, attention, concat, conv2d_grouped, dropout,
+                     finite_checks, gather_last, gelu, layer_norm, log_softmax_rows, matmul,
+                     mean, relu, reshape, rng_normal, slice_axis, softmax_rows, transpose)
 from .train import (AdamW, Dataset, RunLog, Sgd, TrainConfig, clip_grad_norm,
                     cross_entropy, evaluate, load_idx_images, step, synth_dataset, train)
 

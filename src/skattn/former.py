@@ -44,7 +44,11 @@ def canonical_kind(kind: str) -> str:
 
 
 class LayerNorm(Module):
-    """Per-token normalization over the channel axis, with affine scale/shift."""
+    """Per-token normalization over the channel axis, with affine scale/shift.
+
+    The forward is one fused taped entry (`tensor.layer_norm`) whose backward
+    is the closed form.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-6):
         super().__init__()
@@ -53,11 +57,7 @@ class LayerNorm(Module):
         self.beta = self.register("beta", Tensor(np.zeros(dim)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = T.rsqrt(var + self.eps)
-        return centered * inv * self.gamma + self.beta
+        return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class Mlp(Module):
@@ -328,25 +328,21 @@ class Model(Module):
         return T.matmul(readout, self.head_w) + self.head_b
 
     def attention_maps(self, images) -> list[tuple[str, str, np.ndarray | None]]:
-        """Head-averaged post-activation attention per block, in depth order.
+        """Head-averaged post-activation attention per block, in depth order,
+        captured during one forward pass.
 
         Returns (block_name, mixer_kind, map) triples; sepconv blocks yield
         None (they have no attention map).
         """
-        tokens = self.embed(images)
+        sink: list[np.ndarray] = []
+        self.forward(images, attn_sink=sink)
+        captured = iter(sink)  # one entry per attention block, in depth order
         maps = []
         for s, stage in enumerate(self.stages):
-            if s > 0:
-                tokens, _ = self.downsamples[s - 1](tokens, self._grids[s - 1])
             for i, block in enumerate(stage.blocks):
-                name = f"stage{s}.block{i}"
-                if block.mixer.kind == "sepconv":
-                    tokens = block(tokens)
-                    maps.append((name, "sepconv", None))
-                else:
-                    sink: list[np.ndarray] = []
-                    tokens = block(tokens, attn_sink=sink)
-                    maps.append((name, block.mixer.kind, sink[0].mean(axis=1)))
+                kind = block.mixer.kind
+                avg = None if kind == "sepconv" else next(captured).mean(axis=1)
+                maps.append((f"stage{s}.block{i}", kind, avg))
         return maps
 
 

@@ -13,9 +13,12 @@ Four interchangeable units:
 * ``sepconv``  -- depthwise-separable convolution: pointwise -> depthwise
   k x k -> pointwise, a purely convolutional mixer with no attention map.
 
-Attention mixers share the same tail: optional 1/sqrt(d_h) logit scaling,
-a row activation (softmax by default), attention times values, head concat,
-and an output projection.
+Attention mixers differ only in where the logits come from, and share the
+same tail: optional 1/sqrt(d_h) logit scaling, a row activation, attention
+times values, head concat, and an output projection. With the default
+softmax activation, scaling, softmax and the product with the values are one
+fused taped entry (`tensor.attention`); the relu/gelu/starrelu ablation
+activations run as a chain of primitives.
 """
 
 from __future__ import annotations
@@ -172,8 +175,6 @@ class TokenMixer(Module):
 
     def _activate(self, logits: Tensor) -> Tensor:
         act = self.cfg.activation
-        if act == "softmax":
-            return T.softmax_rows(logits)
         if act == "relu":
             return T.relu(logits)
         if act == "gelu":
@@ -182,8 +183,11 @@ class TokenMixer(Module):
         return T.mul(T.mul(r, r), self.act_scale) + self.act_bias
 
     def _attend(self, logits: Tensor, v_heads: Tensor, attn_sink) -> Tensor:
+        scale = 1.0 / math.sqrt(self.cfg.head_dim) if self.cfg.scaled else 1.0
+        if self.cfg.activation == "softmax":
+            return T.attention(logits, v_heads, scale, sink=attn_sink)
         if self.cfg.scaled:
-            logits = T.mul(logits, 1.0 / math.sqrt(self.cfg.head_dim))
+            logits = T.mul(logits, scale)
         attn = self._activate(logits)
         if attn_sink is not None:
             attn_sink.append(np.copy(attn.data))

@@ -3,7 +3,8 @@
 Every operation here is a pure function from input tensors to a fresh output
 tensor. When a `Tape` is active the operation also records a backward rule,
 so reverse-mode differentiation (see `autodiff`) can replay the tape. MACs
-(multiply-accumulates) of matmul/conv are tallied into any active
+(multiply-accumulates) of matmul/conv, and of the weights-times-values
+product of the fused `attention` entry, are tallied into any active
 `MacCounter`; everything else counts as zero.
 
 All storage is row-major contiguous float64. Broadcasting follows numpy
@@ -261,7 +262,7 @@ def reduce_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
 def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     xd = _data(x)
     out = xd.mean(axis=axis, keepdims=keepdims)
-    count = xd.size if axis is None else xd.shape[axis]
+    count = xd.size if axis is None else math.prod(xd.shape[a] for a in np.atleast_1d(axis))
 
     def bwd(g):
         if axis is None:
@@ -289,7 +290,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes=None) -> Tensor:
     xd = _data(x)
     out = np.transpose(xd, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
+    inv = None if axes is None else tuple(np.argsort([a % xd.ndim for a in axes]))
 
     def bwd(g):
         return (np.transpose(g, inv),)
@@ -451,21 +452,103 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 # nonlinearities
 # ---------------------------------------------------------------------------
 
+def _softmax_inplace(buf: np.ndarray) -> np.ndarray:
+    """Stable softmax along the last axis, overwriting `buf` (which the
+    caller owns) with the weights: shift by the row max, exp, normalise."""
+    buf -= buf.max(axis=-1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=-1, keepdims=True)
+    return buf
+
+
+def _softmax_grad_inplace(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Softmax backward y * (dy - <dy, y>) per row, overwriting `dy`."""
+    dy -= (dy * y).sum(axis=-1, keepdims=True)
+    dy *= y
+    return dy
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Stable softmax along the last axis; rows sum to 1."""
     xd = _data(x)
     if xd.ndim == 0 or xd.shape[-1] == 0:
         raise ShapeError(f"softmax: empty last axis in shape {xd.shape}")
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_inplace(xd.copy())
 
     def bwd(g):
-        # Jacobian-vector identity: y * (g - <g, y>) per row
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_grad_inplace(g.copy(), y),)
 
     return _make(y, "softmax_rows", (x,), bwd)
+
+
+def attention(logits, v, scale: float = 1.0, sink: list | None = None) -> Tensor:
+    """Fused softmax(scale * logits) @ v over [..., Nq, Nk] logits and
+    [..., Nk, dv] values with equal leading extents.
+
+    One [..., Nq, Nk] buffer holds the scaled logits and is turned into the
+    weights P in place; backward keeps only P and v. The arithmetic runs in
+    the order of mul -> softmax_rows -> matmul, so the output equals that
+    chain bit for bit. Counts Nq*Nk*dv MACs per matrix, as matmul does.
+    When `sink` is a list, a copy of P is appended to it.
+    """
+    ld, vd = _data(logits), _data(v)
+    if ld.ndim < 2 or vd.ndim != ld.ndim or ld.shape[-1] == 0:
+        raise ShapeError(f"attention: need [..., Nq, Nk] logits and [..., Nk, dv] values, "
+                         f"got {ld.shape} and {vd.shape}")
+    if ld.shape[:-2] != vd.shape[:-2] or ld.shape[-1] != vd.shape[-2]:
+        raise ShapeError(f"attention: logits {ld.shape} do not match values {vd.shape}")
+    p = _softmax_inplace(ld * scale)
+    if sink is not None:
+        sink.append(p.copy())
+    out = np.matmul(p, vd)
+    _add_macs(out.size * ld.shape[-1])
+
+    def bwd(g):
+        grads = []
+        if isinstance(logits, Tensor):
+            dlogits = _softmax_grad_inplace(np.matmul(g, np.swapaxes(vd, -1, -2)), p)
+            dlogits *= scale
+            grads.append(dlogits)
+        if isinstance(v, Tensor):
+            grads.append(np.matmul(np.swapaxes(p, -1, -2), g))
+        return tuple(grads)
+
+    return _make(out, "attention", (logits, v), bwd)
+
+
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """Normalise over the last axis, then scale by `gamma` and shift by `beta`
+    (both of the last axis's extent).
+
+    The forward runs the arithmetic of the composed mean/sub/mul/rsqrt chain
+    in its order; backward uses the closed form
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+    dxhat = g * gamma, keeping only xhat, inv and gamma.
+    """
+    xd, gd, bd = _data(x), _data(gamma), _data(beta)
+    if xd.ndim == 0 or gd.shape != xd.shape[-1:] or bd.shape != xd.shape[-1:]:
+        raise ShapeError(f"layer_norm: gamma {gd.shape} and beta {bd.shape} must both be "
+                         f"the last extent of {xd.shape}")
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
+    out = xhat * gd + bd
+
+    def bwd(g):
+        grads = []
+        if isinstance(x, Tensor):
+            dxhat = g * gd
+            dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+            dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dx *= inv
+            grads.append(dx)
+        if isinstance(gamma, Tensor):
+            grads.append(_unbroadcast(g * xhat, gd.shape))
+        if isinstance(beta, Tensor):
+            grads.append(_unbroadcast(g, bd.shape))
+        return tuple(grads)
+
+    return _make(out, "layer_norm", (x, gamma, beta), bwd)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MixerConfig,
-                    Module, Rng, Tensor, build_model, canonical_kind,
+                    Module, Rng, Tensor, attention_trace, build_model, canonical_kind,
                     count_parameters, grad_check, load_checkpoint, ModelConfig,
                     save_checkpoint)
 
@@ -112,6 +112,24 @@ class TestModel:
         assert [kind for _, kind, _ in maps] == ["sepconv", "ska"]
         assert maps[0][2] is None
         assert maps[1][2].shape == (1, 4, 4)  # 2x2 grid after the downsample
+
+    def test_attention_maps_are_the_weights_each_mixer_used(self):
+        cfg = ModelConfig(input=(1, 8, 8), patch=2, num_classes=2, mlp_ratio=2.0,
+                          stages=[{"kind": "cska", "depth": 1, "dim": 8, "heads": 2},
+                                  {"kind": "mhsa", "depth": 2, "dim": 8, "heads": 2}])
+        model = build_model(cfg, seed=0)
+        mixers = [block.mixer for stage in model.stages for block in stage.blocks]
+        inputs = {}
+        for mixer in mixers:  # record the tokens that reach each mixer
+            def record(x, attn_sink=None, _mixer=mixer, _fwd=mixer.forward):
+                inputs[id(_mixer)] = x
+                return _fwd(x, attn_sink)
+            mixer.forward = record
+        maps = model.attention_maps(Rng(1).normal((2, 1, 8, 8)))
+        assert [name for name, _, _ in maps] == ["stage0.block0", "stage1.block0", "stage1.block1"]
+        for mixer, (name, _, avg) in zip(mixers, maps):
+            _, want = attention_trace(mixer, inputs[id(mixer)])
+            assert np.array_equal(avg, want), name
 
     def test_cls_model_grad_check(self):
         cfg = ModelConfig(input=(1, 4, 4), patch=2, num_classes=2, mlp_ratio=1.0,

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from skattn import (ConfigError, MixerConfig, Rng, ShapeError, Tensor,
-                    attention_trace, build_mixer, count_parameters, mixer_properties)
+from skattn import (ConfigError, MacCounter, MixerConfig, Rng, ShapeError, Tape, Tensor,
+                    attention_trace, backward, build_mixer, count_parameters, grad_check,
+                    mixer_properties)
+from skattn import tensor as tz
 from oracles import brute_conv2d, naive_cska, naive_mhsa
+from test_tensor import composed_attention
 
 
 def make(kind, dim=8, heads=2, tokens=16, seed=0, **kw):
@@ -275,6 +278,54 @@ class TestAttentionTrace:
         mixer, _ = make("sepconv")
         with pytest.raises(ConfigError, match="no attention map"):
             attention_trace(mixer, Tensor(Rng(0).normal((1, 16, 8))))
+
+
+def _forward_and_grads(mixer, x, w):
+    sink = []
+    with Tape() as tape:
+        out = mixer(x, attn_sink=sink)
+        loss = (out * w).sum()
+    grads = backward(tape, loss)
+    return out.data, sink, {p.name: grads[p.tensor] for p in mixer.named_parameters()}
+
+
+class TestFusedAttention:
+    """Every softmax mixer through the fused entry against the composed chain."""
+
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska"])
+    @pytest.mark.parametrize("cls_token", [False, True])
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_matches_composed_chain(self, kind, cls_token, scaled, monkeypatch):
+        mixer, cfg = make(kind, tokens=16, cls_token=cls_token, scaled=scaled, seed=7)
+        x = Tensor(Rng(8).normal((2, cfg.total_tokens, cfg.dim)))
+        w = Rng(9).normal((2, cfg.total_tokens, cfg.dim))
+        out, sink, grads = _forward_and_grads(mixer, x, w)
+        monkeypatch.setattr(tz, "attention", composed_attention)
+        want_out, want_sink, want_grads = _forward_and_grads(mixer, x, w)
+        assert np.array_equal(out, want_out)
+        assert len(sink) == 1 and np.array_equal(sink[0], want_sink[0])
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert np.abs(g - want_grads[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska"])
+    def test_mac_count_equals_chain(self, kind, monkeypatch):
+        mixer, cfg = make(kind, tokens=16, seed=1)
+        x = Tensor(Rng(2).normal((2, cfg.total_tokens, cfg.dim)))
+        with MacCounter() as fused:
+            mixer(x)
+        monkeypatch.setattr(tz, "attention", composed_attention)
+        with MacCounter() as chain:
+            mixer(x)
+        assert fused.macs == chain.macs
+
+    def test_grad_check_through_fused_entry(self):
+        for kind in ("mhsa", "ska", "cska"):
+            mixer, cfg = make(kind, dim=4, heads=2, tokens=4, grid=(2, 2), seed=3)
+            x = Tensor(Rng(4).normal((1, cfg.total_tokens, cfg.dim)))
+            w = Rng(5).normal((1, cfg.total_tokens, cfg.dim))
+            rows = grad_check(lambda: (mixer(x) * w).sum(), mixer.named_parameters())
+            assert all(r.passed for r in rows), (kind, [(r.name, r.max_rel_error) for r in rows])
 
 
 class TestScalingToggle:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from skattn import (MacCounter, NumericsError, Rng, ShapeError, Tensor, concat,
-                    conv2d_grouped, finite_checks, matmul, rng_normal, softmax_rows)
+from skattn import (MacCounter, NumericsError, Parameter, Rng, ShapeError, Tape, Tensor,
+                    attention, backward, concat, conv2d_grouped, finite_checks, grad_check,
+                    layer_norm, matmul, mean, rng_normal, softmax_rows, transpose)
+from skattn import tensor as tz
 from oracles import brute_conv2d
 
 
@@ -72,6 +74,131 @@ class TestSoftmax:
     def test_empty_last_axis(self):
         with pytest.raises(ShapeError):
             softmax_rows(Tensor(np.zeros((3, 0))))
+
+
+def composed_attention(logits, v, scale=1.0, sink=None):
+    """The unfused reference for `attention`: mul -> softmax_rows -> matmul."""
+    attn = softmax_rows(logits if scale == 1.0 else tz.mul(logits, scale))
+    if sink is not None:
+        sink.append(attn.data.copy())
+    return matmul(attn, v)
+
+
+def _grads(f, inputs, w):
+    with Tape() as tape:
+        out = f(*inputs)
+        loss = (out * w).sum()
+    grads = backward(tape, loss)
+    return out.data, [grads[t] for t in inputs]
+
+
+class TestAttention:
+    """The fused entry against the mul -> softmax_rows -> matmul chain."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / math.sqrt(8.0)])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7, 4), (3, 6, 6, 2), (4, 1, 3)])
+    def test_matches_composed_chain(self, shape, scale):
+        *lead, nq, nk, dv = shape
+        rng = Rng(sum(shape))
+        logits = Tensor(rng.normal((*lead, nq, nk)) * 3.0)
+        v = Tensor(rng.normal((*lead, nk, dv)))
+        w = rng.normal((*lead, nq, dv))
+        got, got_g = _grads(lambda a, b: attention(a, b, scale), (logits, v), w)
+        want, want_g = _grads(lambda a, b: composed_attention(a, b, scale), (logits, v), w)
+        assert np.array_equal(got, want)
+        for g_fused, g_chain in zip(got_g, want_g):
+            assert np.abs(g_fused - g_chain).max() <= 1e-12
+
+    def test_grad_check(self):
+        rng = Rng(21)
+        logits = Tensor(rng.normal((2, 2, 4, 5)))
+        v = Tensor(rng.normal((2, 2, 5, 3)))
+        w = rng.normal((2, 2, 4, 3))
+        params = [Parameter("logits", logits), Parameter("v", v)]
+        rows = grad_check(lambda: (attention(logits, v, 0.7) * w).sum(), params)
+        assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
+
+    def test_mac_count_equals_chain(self):
+        logits = Tensor(Rng(0).normal((2, 3, 5, 7)))
+        v = Tensor(Rng(1).normal((2, 3, 7, 4)))
+        with MacCounter() as fused:
+            attention(logits, v, 0.5)
+        with MacCounter() as chain:
+            composed_attention(logits, v, 0.5)
+        assert fused.macs == chain.macs == 2 * 3 * 5 * 7 * 4
+
+    def test_sink_receives_the_weights_used(self):
+        logits = Tensor(Rng(2).normal((1, 2, 4, 4)))
+        v = Tensor(np.eye(4)[None, None].repeat(2, axis=1))
+        sink = []
+        out = attention(logits, v, 0.25, sink=sink)
+        assert len(sink) == 1
+        # v is the identity, so the output is P itself
+        assert np.array_equal(sink[0], out.data)
+        assert np.array_equal(sink[0], softmax_rows(tz.mul(logits, 0.25)).data)
+
+    def test_inputs_and_upstream_gradient_untouched(self):
+        logits = Tensor(Rng(3).normal((2, 4, 4)))
+        v = Tensor(Rng(4).normal((2, 4, 3)))
+        saved = logits.data.copy(), v.data.copy()
+        with Tape() as tape:
+            attention(logits, v, 0.5)
+        _, _, bwd = tape.entries[-1]
+        g = Rng(5).normal((2, 4, 3))
+        g_saved = g.copy()
+        first = bwd(g)
+        second = bwd(g)
+        assert np.array_equal(g, g_saved)
+        assert np.array_equal(logits.data, saved[0]) and np.array_equal(v.data, saved[1])
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_non_finite_names_attention(self):
+        logits = Tensor(np.array([[[0.0, np.inf], [1.0, 2.0]]]))
+        v = Tensor(np.ones((1, 2, 3)))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="attention"):
+            attention(logits, v, 1.0)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="attention"):
+            attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 2))))
+        with pytest.raises(ShapeError, match="attention"):
+            attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+
+
+def _composed_layer_norm(x, gamma, beta, eps):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * tz.rsqrt(var + eps) * gamma + beta
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(3, 5, 8), (4, 6), (7,)])
+    def test_matches_composed_chain(self, shape):
+        rng = Rng(len(shape))
+        x = Tensor(rng.normal(shape) * 2.0 + 0.5)
+        gamma = Tensor(rng.normal(shape[-1:]))
+        beta = Tensor(rng.normal(shape[-1:]))
+        w = rng.normal(shape)
+        inputs = (x, gamma, beta)
+        got, got_g = _grads(lambda *a: layer_norm(*a, 1e-6), inputs, w)
+        want, want_g = _grads(lambda *a: _composed_layer_norm(*a, 1e-6), inputs, w)
+        assert np.abs(got - want).max() <= 1e-12
+        for g_fused, g_chain in zip(got_g, want_g):
+            assert np.abs(g_fused - g_chain).max() <= 1e-12
+
+    def test_grad_check(self):
+        rng = Rng(31)
+        x = Tensor(rng.normal((3, 6)))
+        gamma = Tensor(rng.normal((6,)))
+        beta = Tensor(rng.normal((6,)))
+        w = rng.normal((3, 6))
+        params = [Parameter("x", x), Parameter("gamma", gamma), Parameter("beta", beta)]
+        rows = grad_check(lambda: (layer_norm(x, gamma, beta, 1e-6) * w).sum(), params)
+        assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
+
+    def test_parameter_shape_error(self):
+        with pytest.raises(ShapeError, match="layer_norm"):
+            layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-6)
 
 
 class TestConv2dGrouped:
@@ -156,6 +283,35 @@ class TestPlumbing:
 
     def test_mean(self):
         assert Tensor([2.0, 4.0]).mean().item() == 3.0
+
+    def test_transpose_negative_axes_gradient(self):
+        x = Tensor(Rng(1).normal((2, 3, 4)))
+        w = Rng(2).normal((2, 4, 3))
+        grads = []
+        for axes in ((0, 2, 1), (0, -1, 1), (-3, -1, -2)):
+            with Tape() as tape:
+                loss = (transpose(x, axes) * w).sum()
+            grads.append(backward(tape, loss)[x])
+        assert grads[0].shape == x.shape
+        assert np.array_equal(grads[1], grads[0])
+        assert np.array_equal(grads[2], grads[0])
+
+    @pytest.mark.parametrize("axis", [(0, 1), (1, 2), (0, -1), -2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_over_axes_gradient(self, axis, keepdims):
+        x = Tensor(Rng(3).normal((2, 3, 4)))
+        count = x.data.size // x.data.sum(axis=axis).size
+        w = Rng(4).normal(x.data.mean(axis=axis, keepdims=keepdims).shape)
+        with Tape() as tape:
+            got_out = mean(x, axis=axis, keepdims=keepdims)
+            loss = (got_out * w).sum()
+        got = backward(tape, loss)[x]
+        with Tape() as tape:
+            want_out = tz.reduce_sum(x, axis=axis, keepdims=keepdims) * (1.0 / count)
+            loss = (want_out * w).sum()
+        want = backward(tape, loss)[x]
+        assert np.abs(got_out.data - want_out.data).max() < 1e-15
+        assert np.abs(got - want).max() < 1e-15
 
     def test_reshape_error(self):
         with pytest.raises(ShapeError):
