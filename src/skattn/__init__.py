@@ -8,8 +8,7 @@ from .errors import (AutodiffError, CheckpointError, ConfigError, DataError,
 from .former import (Block, BlockConfig, LayerNorm, Mlp, Model, ModelConfig, StageConfig,
                      build_model, canonical_kind, count_parameters, load_checkpoint,
                      save_checkpoint)
-from .mixers import (ACTIVATIONS, KINDS, ConvStaticKeyAttention, MixerConfig,
-                     MixerProperties, SelfAttention, SepConv, StaticKeyAttention,
+from .mixers import (ACTIVATIONS, KINDS, Attention, MixerConfig, MixerProperties, SepConv,
                      TokenMixer, attention_trace, build_mixer, mixer_properties)
 from .tensor import (MacCounter, Rng, Tensor, attention, concat, conv2d_grouped, dropout,
                      finite_checks, gather_last, gelu, layer_norm, log_softmax_rows, matmul,

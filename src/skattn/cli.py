@@ -396,6 +396,21 @@ def _model_forward_macs(model) -> int:
     return counter.macs
 
 
+def _train_cell(cell: dict, seed: int):
+    """Train one sweep/ablation cell under `seed`; return the model, its test
+    accuracy (nan without a test set) and 8 probe images (test, else train)."""
+    cell["train"]["seed"] = seed
+    model_cfg = ModelConfig.from_dict(cell["model"])
+    train_cfg = TrainConfig(**cell["train"])
+    train_ds, test_ds = _datasets_from(cell["data"])
+    model = build_model(model_cfg, seed=seed)
+    train(model, train_ds, train_cfg, eval_dataset=test_ds)
+    if test_ds is None:
+        return model, float("nan"), train_ds.images[:8]
+    acc, _ = evaluate(model, test_ds)
+    return model, acc, test_ds.images[:8]
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     base_seed = args.seed if args.seed is not None else cfg["train"]["seed"]
@@ -406,13 +421,7 @@ def cmd_sweep(args) -> int:
         for stage in cell["model"]["stages"]:
             stage["heads"] = h
         cell_seed = base_seed + i
-        cell["train"]["seed"] = cell_seed
-        model_cfg = ModelConfig.from_dict(cell["model"])
-        train_cfg = TrainConfig(**cell["train"])
-        train_ds, test_ds = _datasets_from(cell["data"])
-        model = build_model(model_cfg, seed=cell_seed)
-        train(model, train_ds, train_cfg, eval_dataset=test_ds)
-        acc, _ = evaluate(model, test_ds) if test_ds is not None else (float("nan"), 0.0)
+        model, acc, _ = _train_cell(cell, cell_seed)
         _, params = count_parameters(model)
         flops = _model_forward_macs(model)
         rows.append([h, f"{acc:.4f}", params, flops, cell_seed])
@@ -451,14 +460,7 @@ def cmd_ablate(args) -> int:
             for stage in cell["model"]["stages"]:
                 stage["kind"] = args.mixer
         cell_seed = base_seed + i
-        cell["train"]["seed"] = cell_seed
-        model_cfg = ModelConfig.from_dict(cell["model"])
-        train_cfg = TrainConfig(**cell["train"])
-        train_ds, test_ds = _datasets_from(cell["data"])
-        model = build_model(model_cfg, seed=cell_seed)
-        train(model, train_ds, train_cfg, eval_dataset=test_ds)
-        acc, _ = evaluate(model, test_ds) if test_ds is not None else (float("nan"), 0.0)
-        probe = test_ds.images[:8] if test_ds is not None else train_ds.images[:8]
+        model, acc, probe = _train_cell(cell, cell_seed)
         row_dev = _max_row_sum_deviation(model, probe)
         normalized = act == "softmax"
         rows.append([act, scaled, normalized, f"{row_dev:.6g}", f"{acc:.4f}", cell_seed])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -188,23 +188,7 @@ class ModelConfig:
         return grids
 
     def to_dict(self) -> dict:
-        return {
-            "input": list(self.input),
-            "patch": self.patch,
-            "stages": [{"kind": s.kind, "depth": s.depth, "dim": s.dim, "heads": s.heads}
-                       for s in self.stages],
-            "downsample": list(self.downsample),
-            "num_classes": self.num_classes,
-            "cls_token": self.cls_token,
-            "pos_embed": self.pos_embed,
-            "mlp_ratio": self.mlp_ratio,
-            "activation": self.activation,
-            "scaled": self.scaled,
-            "qkv_bias": self.qkv_bias,
-            "kernel": self.kernel,
-            "dropout": self.dropout,
-            "key_init": self.key_init,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -1,6 +1,6 @@
 """Token mixers with a common (B, N, D) -> (B, N, D) contract.
 
-Four interchangeable units:
+Four interchangeable kinds, built by two classes:
 
 * ``mhsa``     -- multi-head self-attention: dynamic queries, keys, values.
 * ``ska``      -- static key attention: the key projection is replaced by a
@@ -13,12 +13,14 @@ Four interchangeable units:
 * ``sepconv``  -- depthwise-separable convolution: pointwise -> depthwise
   k x k -> pointwise, a purely convolutional mixer with no attention map.
 
-Attention mixers differ only in where the logits come from, and share the
-same tail: optional 1/sqrt(d_h) logit scaling, a row activation, attention
-times values, head concat, and an output projection. With the default
-softmax activation, scaling, softmax and the product with the values are one
-fused taped entry (`tensor.attention`); the relu/gelu/starrelu ablation
-activations run as a chain of primitives.
+The three attention kinds differ only in where the logits come from, so they
+are one class, `Attention`, whose kind picks its key parameters and its
+logits step. Everything after the logits is shared: optional 1/sqrt(d_h)
+scaling, a row activation, attention times values, head merge and an output
+projection. With the default softmax activation, scaling, softmax and the
+product with the values are one fused taped entry (`tensor.attention`); the
+relu/gelu/starrelu ablation activations run as a chain of primitives.
+`SepConv` is the no-attention control.
 """
 
 from __future__ import annotations
@@ -137,14 +139,17 @@ def _linear_init(rng: Rng, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.normal((fan_in, fan_out)) * (1.0 / math.sqrt(fan_in)))
 
 
-def _trunc_normal(rng: Rng, shape, std: float = 0.02, clip: float = 2.0) -> np.ndarray:
+def _key_param(rng: Rng, shape, key_init: str) -> Tensor:
+    """A static key: unit normal, or ``"trunc"`` (std 0.02, redrawn beyond 2 sigma)."""
     z = rng.normal(shape)
-    while True:
-        bad = np.abs(z) > clip
-        if not bad.any():
-            break
-        z[bad] = rng.normal((int(bad.sum()),))
-    return z * std
+    if key_init == "trunc":
+        while True:
+            bad = np.abs(z) > 2.0
+            if not bad.any():
+                break
+            z[bad] = rng.normal((int(bad.sum()),))
+        z = z * 0.02
+    return Tensor(z)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -158,45 +163,18 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 
 class TokenMixer(Module):
-    """Base: holds the config and the shared attention tail."""
+    """Base of every mixer: the config, its kind and the dropout stream."""
 
     def __init__(self, cfg: MixerConfig, rng: Rng):
         super().__init__()
         self.cfg = cfg
         self._drop_rng = rng.split("dropout")
-        self.act_scale = self.act_bias = None
-        if cfg.activation == "starrelu":
-            self.act_scale = self.register("act_scale", Tensor(np.full((1,), _STARRELU_SCALE)))
-            self.act_bias = self.register("act_bias", Tensor(np.full((1,), _STARRELU_BIAS)))
 
     @property
     def kind(self) -> str:
         return self.cfg.kind
 
-    def _activate(self, logits: Tensor) -> Tensor:
-        act = self.cfg.activation
-        if act == "relu":
-            return T.relu(logits)
-        if act == "gelu":
-            return T.gelu(logits)
-        r = T.relu(logits)
-        return T.mul(T.mul(r, r), self.act_scale) + self.act_bias
-
-    def _attend(self, logits: Tensor, v_heads: Tensor, attn_sink) -> Tensor:
-        scale = 1.0 / math.sqrt(self.cfg.head_dim) if self.cfg.scaled else 1.0
-        if self.cfg.activation == "softmax":
-            return T.attention(logits, v_heads, scale, sink=attn_sink)
-        if self.cfg.scaled:
-            logits = T.mul(logits, scale)
-        attn = self._activate(logits)
-        if attn_sink is not None:
-            attn_sink.append(np.copy(attn.data))
-        return T.matmul(attn, v_heads)
-
-    def _project_out(self, merged: Tensor) -> Tensor:
-        out = T.matmul(merged, self.wo)
-        if self.bo is not None:
-            out = out + self.bo
+    def _dropout(self, out: Tensor) -> Tensor:
         if self.training and self.cfg.dropout > 0.0:
             out = T.dropout(out, self.cfg.dropout, self._drop_rng)
         return out
@@ -205,19 +183,43 @@ class TokenMixer(Module):
         raise NotImplementedError
 
 
-class SelfAttention(TokenMixer):
-    """Standard multi-head self-attention; length-flexible.
+class Attention(TokenMixer):
+    """One attention mixer for mhsa, ska and cska; the kind picks the logits.
 
-    The key projection carries no bias even with qkv_bias on: a key bias
-    shifts every logit in a row by the same amount, so softmax attention is
-    exactly invariant to it and the parameter would be inert.
+    Queries and values are projections of the input (``wq``/``wv``, with
+    ``bq``/``bv`` when qkv_bias is on). The logits source by kind:
+
+    * mhsa: Q @ K^T with a dynamic key K = x @ ``wk``. The key projection
+      carries no bias even with qkv_bias on: a key bias shifts every logit
+      in a row by the same amount, so softmax attention is exactly invariant
+      to it and the parameter would be inert. Length-flexible.
+    * ska: Q @ key^T with a trainable ``key`` of shape [heads, N, d_h], so
+      the token count is fixed at build time (N+1 rows with a CLS token);
+      allow_token_resize interpolates it at inference. No key bias.
+    * cska: the queries laid out as an image [B, D, grid_h, grid_w] go
+      through a grouped convolution (``conv_w``/``conv_b``; groups = heads,
+      N output channels per group, same-size padding), which yields at every
+      query position one logit per key position. With a CLS token every
+      query gains one extra key column from a trainable per-head
+      ``cls_key`` dotted with its query, and the CLS query's spatial-key
+      row is zero (it has no spatial position).
+
+    After the logits the path is shared: optional 1/sqrt(d_h) scaling, the
+    row activation and the product with the values (one fused entry for
+    softmax), head merge, output projection ``wo``/``bo`` and dropout.
+    ``attn_sink``, when given, receives a copy of the post-activation map.
     """
 
     def __init__(self, cfg: MixerConfig, rng: Rng):
         super().__init__(cfg, rng)
-        d = cfg.dim
+        d, h, n, dh = cfg.dim, cfg.heads, cfg.tokens, cfg.head_dim
+        self.act_scale = self.act_bias = None
+        if cfg.activation == "starrelu":
+            self.act_scale = self.register("act_scale", Tensor(np.full((1,), _STARRELU_SCALE)))
+            self.act_bias = self.register("act_bias", Tensor(np.full((1,), _STARRELU_BIAS)))
         self.wq = self.register("wq", _linear_init(rng.split("wq"), d, d))
-        self.wk = self.register("wk", _linear_init(rng.split("wk"), d, d))
+        if cfg.kind == "mhsa":
+            self.wk = self.register("wk", _linear_init(rng.split("wk"), d, d))
         self.wv = self.register("wv", _linear_init(rng.split("wv"), d, d))
         self.wo = self.register("wo", _linear_init(rng.split("wo"), d, d))
         self.bq = self.bv = self.bo = None
@@ -225,45 +227,19 @@ class SelfAttention(TokenMixer):
             self.bq = self.register("bq", Tensor(np.zeros(d)))
             self.bv = self.register("bv", Tensor(np.zeros(d)))
             self.bo = self.register("bo", Tensor(np.zeros(d)))
-
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
-        h = self.cfg.heads
-        q = T.matmul(x, self.wq)
-        k = T.matmul(x, self.wk)
-        v = T.matmul(x, self.wv)
-        if self.bq is not None:
-            q, v = q + self.bq, v + self.bv
-        q, k, v = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
-        logits = T.matmul(q, k.transpose(0, 1, 3, 2))
-        out = self._attend(logits, v, attn_sink)
-        return self._project_out(_merge_heads(out))
-
-
-class StaticKeyAttention(TokenMixer):
-    """Attention whose key is a trainable [heads, N, d_h] parameter.
-
-    Logits are Q @ key^T: each token's query is compared against N learned
-    position-bound key vectors, so the token count is fixed at build time.
-    With a CLS token the key simply has N+1 rows. The key carries no bias.
-    """
-
-    def __init__(self, cfg: MixerConfig, rng: Rng):
-        super().__init__(cfg, rng)
-        d = cfg.dim
-        self.wq = self.register("wq", _linear_init(rng.split("wq"), d, d))
-        self.wv = self.register("wv", _linear_init(rng.split("wv"), d, d))
-        self.wo = self.register("wo", _linear_init(rng.split("wo"), d, d))
-        self.bq = self.bv = self.bo = None
-        if cfg.qkv_bias:
-            self.bq = self.register("bq", Tensor(np.zeros(d)))
-            self.bv = self.register("bv", Tensor(np.zeros(d)))
-            self.bo = self.register("bo", Tensor(np.zeros(d)))
-        shape = (cfg.heads, cfg.total_tokens, cfg.head_dim)
-        key_rng = rng.split("key")
-        if cfg.key_init == "trunc":
-            self.key = self.register("key", Tensor(_trunc_normal(key_rng, shape)))
-        else:
-            self.key = self.register("key", T.rng_normal(key_rng, shape))
+        if cfg.kind == "ska":
+            self.key = self.register(
+                "key", _key_param(rng.split("key"), (h, cfg.total_tokens, dh), cfg.key_init))
+        elif cfg.kind == "cska":
+            k = cfg.kernel
+            self.conv_b = self.cls_key = None
+            conv_w = rng.split("conv_key").normal((h * n, dh, k, k)) / math.sqrt(dh * k * k)
+            self.conv_w = self.register("conv_w", Tensor(conv_w))
+            if cfg.qkv_bias:
+                self.conv_b = self.register("conv_b", Tensor(np.zeros(h * n)))
+            if cfg.cls_token:
+                self.cls_key = self.register(
+                    "cls_key", _key_param(rng.split("cls_key"), (h, 1, dh), cfg.key_init))
 
     def _key_for(self, n_tokens: int) -> Tensor:
         expected = self.cfg.total_tokens
@@ -283,87 +259,62 @@ class StaticKeyAttention(TokenMixer):
                 resized[h, :, c] = np.interp(new, old, kd[h, :, c])
         return Tensor(resized)
 
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
-        key = self._key_for(x.shape[1])
-        h = self.cfg.heads
-        q = T.matmul(x, self.wq)
-        v = T.matmul(x, self.wv)
-        if self.bq is not None:
-            q, v = q + self.bq, v + self.bv
-        q, v = _split_heads(q, h), _split_heads(v, h)
-        logits = T.matmul(q, key.transpose(0, 2, 1))
-        out = self._attend(logits, v, attn_sink)
-        return self._project_out(_merge_heads(out))
-
-
-class ConvStaticKeyAttention(TokenMixer):
-    """Attention whose logits come from a grouped conv over the query map.
-
-    The query projection is reshaped to an image [B, D, grid_h, grid_w];
-    a grouped convolution (groups = heads, N output channels per group,
-    same-size padding) yields, at every query position, one logit per key
-    position. With a CLS token: every query gains one extra key column from
-    a trainable per-head key vector dotted with its query, and the CLS
-    query's spatial-key logits are zero (it has no spatial position).
-    """
-
-    def __init__(self, cfg: MixerConfig, rng: Rng):
-        super().__init__(cfg, rng)
-        d, h, n, k = cfg.dim, cfg.heads, cfg.tokens, cfg.kernel
-        dh = cfg.head_dim
-        self.wq = self.register("wq", _linear_init(rng.split("wq"), d, d))
-        self.wv = self.register("wv", _linear_init(rng.split("wv"), d, d))
-        self.wo = self.register("wo", _linear_init(rng.split("wo"), d, d))
-        self.bq = self.bv = self.bo = self.conv_b = self.cls_key = None
-        if cfg.qkv_bias:
-            self.bq = self.register("bq", Tensor(np.zeros(d)))
-            self.bv = self.register("bv", Tensor(np.zeros(d)))
-            self.bo = self.register("bo", Tensor(np.zeros(d)))
-        conv_rng = rng.split("conv_key")
-        self.conv_w = self.register(
-            "conv_w", Tensor(conv_rng.normal((h * n, dh, k, k)) / math.sqrt(dh * k * k)))
-        if cfg.qkv_bias:
-            self.conv_b = self.register("conv_b", Tensor(np.zeros(h * n)))
-        if cfg.cls_token:
-            cls_rng = rng.split("cls_key")
-            if cfg.key_init == "trunc":
-                self.cls_key = self.register("cls_key", Tensor(_trunc_normal(cls_rng, (h, 1, dh))))
-            else:
-                self.cls_key = self.register("cls_key", T.rng_normal(cls_rng, (h, 1, dh)))
-
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
+    def _conv_logits(self, q: Tensor) -> Tensor:
         cfg = self.cfg
-        if x.shape[1] != cfg.total_tokens:
+        if q.shape[1] != cfg.total_tokens:
             raise ShapeError(
-                f"cska built for {cfg.total_tokens} tokens but input carries {x.shape[1]}")
-        b = x.shape[0]
-        h, n = cfg.heads, cfg.tokens
+                f"cska built for {cfg.total_tokens} tokens but input carries {q.shape[1]}")
+        b, h, n = q.shape[0], cfg.heads, cfg.tokens
         gh, gw = cfg.grid
-
-        q = T.matmul(x, self.wq)
-        v = T.matmul(x, self.wv)
-        if self.bq is not None:
-            q, v = q + self.bq, v + self.bv
-        v = _split_heads(v, h)
-
         q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
         q_img = q_spatial.transpose(0, 2, 1).reshape(b, cfg.dim, gh, gw)
         logit_img = T.conv2d_grouped(q_img, self.conv_w, self.conv_b,
                                      stride=1, padding=(cfg.kernel - 1) // 2, groups=h)
         # channel block h holds the N key logits of every query position in head h
         spatial = logit_img.reshape(b, h, n, gh * gw).transpose(0, 1, 3, 2)  # [B, H, Nq, Nk]
+        if not cfg.cls_token:
+            return spatial
+        cls_col = T.matmul(_split_heads(q, h), self.cls_key.transpose(0, 2, 1))  # [B, H, N+1, 1]
+        cls_row = Tensor(np.zeros((b, h, 1, n)))
+        rows = T.concat([cls_row, spatial], axis=2)                              # [B, H, N+1, N]
+        return T.concat([cls_col, rows], axis=3)                                 # [B, H, N+1, N+1]
 
-        if cfg.cls_token:
-            q_heads = _split_heads(q, h)
-            cls_col = T.matmul(q_heads, self.cls_key.transpose(0, 2, 1))  # [B, H, N+1, 1]
-            cls_row = Tensor(np.zeros((b, h, 1, n)))
-            rows = T.concat([cls_row, spatial], axis=2)                   # [B, H, N+1, N]
-            logits = T.concat([cls_col, rows], axis=3)                    # [B, H, N+1, N+1]
+    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
+        cfg = self.cfg
+        h = cfg.heads
+        q = T.matmul(x, self.wq)
+        v = T.matmul(x, self.wv)
+        if self.bq is not None:
+            q, v = q + self.bq, v + self.bv
+        if cfg.kind == "mhsa":
+            k = _split_heads(T.matmul(x, self.wk), h)
+            logits = T.matmul(_split_heads(q, h), k.transpose(0, 1, 3, 2))
+        elif cfg.kind == "ska":
+            logits = T.matmul(_split_heads(q, h), self._key_for(x.shape[1]).transpose(0, 2, 1))
         else:
-            logits = spatial
+            logits = self._conv_logits(q)
+        v = _split_heads(v, h)
 
-        out = self._attend(logits, v, attn_sink)
-        return self._project_out(_merge_heads(out))
+        scale = 1.0 / math.sqrt(cfg.head_dim) if cfg.scaled else 1.0
+        if cfg.activation == "softmax":
+            out = T.attention(logits, v, scale, sink=attn_sink)
+        else:
+            if cfg.scaled:
+                logits = T.mul(logits, scale)
+            if cfg.activation == "relu":
+                attn = T.relu(logits)
+            elif cfg.activation == "gelu":
+                attn = T.gelu(logits)
+            else:
+                r = T.relu(logits)
+                attn = T.mul(T.mul(r, r), self.act_scale) + self.act_bias
+            if attn_sink is not None:
+                attn_sink.append(np.copy(attn.data))
+            out = T.matmul(attn, v)
+        out = T.matmul(_merge_heads(out), self.wo)
+        if self.bo is not None:
+            out = out + self.bo
+        return self._dropout(out)
 
 
 class SepConv(TokenMixer):
@@ -402,21 +353,11 @@ class SepConv(TokenMixer):
         out = T.matmul(h, self.pw2)
         if self.b2 is not None:
             out = out + self.b2
-        if self.training and cfg.dropout > 0.0:
-            out = T.dropout(out, cfg.dropout, self._drop_rng)
-        return out
-
-
-_MIXER_CLASSES = {
-    "mhsa": SelfAttention,
-    "ska": StaticKeyAttention,
-    "cska": ConvStaticKeyAttention,
-    "sepconv": SepConv,
-}
+        return self._dropout(out)
 
 
 def build_mixer(cfg: MixerConfig, rng: Rng) -> TokenMixer:
-    return _MIXER_CLASSES[cfg.kind](cfg, rng)
+    return (SepConv if cfg.kind == "sepconv" else Attention)(cfg, rng)
 
 
 def attention_trace(mixer: TokenMixer, x: Tensor) -> tuple[np.ndarray, np.ndarray]:

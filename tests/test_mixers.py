@@ -366,6 +366,43 @@ class TestParameterCounts:
         assert total == 9 * n * d + d + 3 * d * d
 
 
+def expected_parameters(kind, qkv_bias, cls_token, starrelu):
+    """Ordered (name, shape) of a D=8, H=2, N=16 (4x4 grid, 3x3 kernel) mixer."""
+    star = [("act_scale", (1,)), ("act_bias", (1,))] if starrelu else []
+    bias = [("bq", (8,)), ("bv", (8,)), ("bo", (8,))] if qkv_bias else []
+    if kind == "mhsa":
+        return star + [("wq", (8, 8)), ("wk", (8, 8)), ("wv", (8, 8)), ("wo", (8, 8))] + bias
+    head = star + [("wq", (8, 8)), ("wv", (8, 8)), ("wo", (8, 8))] + bias
+    if kind == "ska":
+        return head + [("key", (2, 17 if cls_token else 16, 4))]
+    return (head + [("conv_w", (32, 4, 3, 3))]
+            + ([("conv_b", (32,))] if qkv_bias else [])
+            + ([("cls_key", (2, 1, 4))] if cls_token else []))
+
+
+class TestParameterContract:
+    """Names and shapes are the checkpoint format; their order fixes the
+    summation order of the gradient norm."""
+
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska"])
+    @pytest.mark.parametrize("qkv_bias", [False, True])
+    @pytest.mark.parametrize("cls_token", [False, True])
+    @pytest.mark.parametrize("starrelu", [False, True])
+    def test_ordered_names_and_shapes(self, kind, qkv_bias, cls_token, starrelu):
+        mixer, _ = make(kind, qkv_bias=qkv_bias, cls_token=cls_token,
+                        activation="starrelu" if starrelu else "softmax")
+        got = [(p.name, p.tensor.shape) for p in mixer.named_parameters()]
+        assert got == expected_parameters(kind, qkv_bias, cls_token, starrelu)
+
+    @pytest.mark.parametrize("qkv_bias", [False, True])
+    def test_sepconv_ignores_activation(self, qkv_bias):
+        soft, _ = make("sepconv", qkv_bias=qkv_bias)
+        star, _ = make("sepconv", qkv_bias=qkv_bias, activation="starrelu")
+        assert ([(p.name, p.tensor.shape) for p in star.named_parameters()]
+                == [(p.name, p.tensor.shape) for p in soft.named_parameters()])
+        assert count_parameters(star)[1] == count_parameters(soft)[1]
+
+
 class TestActivationsAndDropout:
     @pytest.mark.parametrize("act", ["gelu", "relu", "starrelu"])
     def test_non_softmax_rows_not_normalized(self, act):
