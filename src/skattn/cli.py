@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -36,39 +37,12 @@ from .mixers import ACTIVATIONS, KINDS, build_mixer
 from .tensor import MacCounter, Rng, Tensor
 from .train import Dataset, TrainConfig, evaluate, load_idx_images, synth_dataset, train
 
-DEFAULT_CONFIG = {
-    "model": {
-        "input": [1, 8, 8],
-        "patch": 1,
-        "stages": [{"kind": "ska", "depth": 2, "dim": 32, "heads": 4}],
-        "downsample": [],
-        "num_classes": 2,
-        "cls_token": False,
-        "pos_embed": True,
-        "mlp_ratio": 2.0,
-        "activation": "softmax",
-        "scaled": True,
-        "qkv_bias": True,
-        "kernel": 3,
-        "dropout": 0.0,
-        "key_init": "normal",
-    },
-    "train": {
-        "optimizer": "adamw",
-        "lr": 1e-3,
-        "weight_decay": 0.05,
-        "betas": [0.9, 0.999],
-        "momentum": 0.9,
-        "batch_size": 16,
-        "steps": 600,
-        "epochs": 0,
-        "seed": 0,
-        "schedule": "constant",
-        "loss": "cross_entropy",
-        "clip_norm": 5.0,
-        "eval_every": 100,
-        "early_stop_acc": 0.0,
-    },
+# The model and train sections are the dataclass defaults plus the toy
+# overrides; the JSON round trip turns tuples into lists, as `_coerce` expects.
+DEFAULT_CONFIG = json.loads(json.dumps({
+    "model": ModelConfig(input=(1, 8, 8), patch=1, num_classes=2, mlp_ratio=2.0,
+                         stages=[{"kind": "ska", "depth": 2, "dim": 32, "heads": 4}]).to_dict(),
+    "train": asdict(TrainConfig(batch_size=16, steps=600, eval_every=100)),
     "data": {
         "kind": "stripe_orientation",
         "n_train": 2000,
@@ -80,7 +54,7 @@ DEFAULT_CONFIG = {
         "test_images": None,
         "test_labels": None,
     },
-}
+}))
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +139,25 @@ def load_config(path: str | None, sets: list[str] | None) -> dict:
     return config
 
 
+def _load_idx_pair(images: str | None, labels: str | None, names: tuple[str, str]) -> Dataset:
+    """Load an IDX (images, labels) pair; `names` are the config keys or
+    flags that gave the two paths, for the error messages."""
+    for path, name in zip((images, labels), names):
+        if not path:
+            raise ConfigError(f"{name} is required when loading IDX files")
+        if not Path(path).exists():
+            raise DataError(f"dataset file not found: {path}")
+    return load_idx_images(images, labels)
+
+
 def _datasets_from(data_cfg: dict) -> tuple[Dataset, Dataset | None]:
     if data_cfg["images"]:
-        for key in ("images", "labels"):
-            if not data_cfg[key]:
-                raise ConfigError(f"data.{key} is required when loading IDX files")
-            if not Path(data_cfg[key]).exists():
-                raise DataError(f"dataset file not found: {data_cfg[key]}")
-        train_ds = load_idx_images(data_cfg["images"], data_cfg["labels"])
+        train_ds = _load_idx_pair(data_cfg["images"], data_cfg["labels"],
+                                  ("data.images", "data.labels"))
         test_ds = None
         if data_cfg["test_images"]:
-            for key in ("test_images", "test_labels"):
-                if not Path(data_cfg[key] or "").exists():
-                    raise DataError(f"dataset file not found: {data_cfg[key]}")
-            test_ds = load_idx_images(data_cfg["test_images"], data_cfg["test_labels"])
+            test_ds = _load_idx_pair(data_cfg["test_images"], data_cfg["test_labels"],
+                                     ("data.test_images", "data.test_labels"))
         return train_ds, test_ds
     grid = tuple(data_cfg["grid"])
     train_ds = synth_dataset(data_cfg["kind"], data_cfg["n_train"], grid, data_cfg["seed"])
@@ -321,9 +300,8 @@ def cmd_count(args) -> int:
 
     factor = 2 if args.flops_convention == "2x" else 1
     unit = "flops(2x)" if factor == 2 else "MACs"
-    if report.flops_closed is None and cfg.kind in ("cska", "sepconv") and cfg.kernel != 3:
-        print(f"warning: closed forms are defined only for kernel 3; "
-              f"reporting instrumented values for kernel {cfg.kernel}", file=sys.stderr)
+    if report.warning:
+        print(f"warning: {report.warning}", file=sys.stderr)
     print(f"mixer={report.kind} N={report.tokens} D={report.dim} H={report.heads} "
           f"k={report.kernel} bias_free={not cfg.qkv_bias} cls={cfg.cls_token}")
     closed_f = "n/a" if report.flops_closed is None else str(report.flops_closed * factor)
@@ -356,9 +334,7 @@ def cmd_attnmap(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     c, h, w = model.cfg.input
     if args.images:
-        if not Path(args.images).exists():
-            raise DataError(f"dataset file not found: {args.images}")
-        ds = load_idx_images(args.images, args.labels)
+        ds = _load_idx_pair(args.images, args.labels, ("--images", "--labels"))
         if not 0 <= args.index < len(ds):
             raise ConfigError(f"--index {args.index} out of range for {len(ds)} images")
         image = ds.images[args.index:args.index + 1]

@@ -24,8 +24,15 @@ from fractions import Fraction
 
 from .errors import ConfigError, NumericsError
 from .former import canonical_kind, count_parameters
-from .mixers import MixerConfig, build_mixer
+from .mixers import GRID_KINDS, MixerConfig, build_mixer
 from .tensor import MacCounter, Rng, Tensor
+
+
+def _kernel_mismatch(kind: str, k: int) -> str | None:
+    """Why the closed forms do not hold for `kind` at kernel `k`, or None."""
+    if kind in GRID_KINDS and k != 3:
+        return f"closed forms for {kind} are defined only for kernel 3, got {k}"
+    return None
 
 
 def closed_form(kind: str, n: int, d: int, k: int = 3) -> tuple[int, int, Fraction]:
@@ -33,8 +40,9 @@ def closed_form(kind: str, n: int, d: int, k: int = 3) -> tuple[int, int, Fracti
     kind = canonical_kind(kind)
     if n < 1 or d < 1:
         raise ConfigError(f"N and D must be >= 1, got N={n}, D={d}")
-    if kind in ("cska", "sepconv") and k != 3:
-        raise ConfigError(f"closed forms for {kind} are defined only for kernel 3, got {k}")
+    mismatch = _kernel_mismatch(kind, k)
+    if mismatch:
+        raise ConfigError(mismatch)
     if kind == "sepconv":
         flops, params = n * (9 * d + 2 * d * d), 9 * d + 2 * d * d
     elif kind == "mhsa":
@@ -55,9 +63,12 @@ def _near_square_grid(n: int) -> tuple[int, int]:
 
 def counting_config(kind: str, n: int, d: int, heads: int = 1, kernel: int = 3,
                     cls_token: bool = False, grid: tuple[int, int] | None = None) -> MixerConfig:
-    """Bias-free MixerConfig for counting, with an inferred token grid."""
+    """Bias-free MixerConfig for counting; the token grid defaults to the
+    near-square factorisation of `n`."""
     kind = canonical_kind(kind)
-    if grid is None and kind in ("cska", "sepconv"):
+    if n < 1:
+        raise ConfigError(f"N must be >= 1, got {n}")
+    if grid is None:
         grid = _near_square_grid(n)
     return MixerConfig(kind=kind, dim=d, heads=heads, tokens=n, grid=grid,
                        qkv_bias=False, cls_token=cls_token, kernel=kernel)
@@ -76,6 +87,7 @@ class ComplexityReport:
     params_closed: int | None
     ratio_closed: Fraction | None
     closed_form_comparable: bool
+    warning: str | None = None
 
 
 def count_ops(cfg: MixerConfig) -> ComplexityReport:
@@ -84,7 +96,8 @@ def count_ops(cfg: MixerConfig) -> ComplexityReport:
     Closed-form columns are filled whenever the formulas structurally apply
     (no CLS token; kernel 3 for the convolutional kinds); exact equality
     with the instrumented counts additionally requires bias-free mode,
-    reflected in `closed_form_comparable`.
+    reflected in `closed_form_comparable`. `warning` says why a kernel
+    leaves the closed-form columns empty.
     """
     mixer = build_mixer(cfg, Rng(0))
     x = Tensor(Rng(1).normal((1, cfg.total_tokens, cfg.dim)))
@@ -92,9 +105,8 @@ def count_ops(cfg: MixerConfig) -> ComplexityReport:
         mixer(x)
     _, params_counted = count_parameters(mixer)
 
-    structural = not cfg.cls_token
-    if cfg.kind in ("cska", "sepconv") and cfg.kernel != 3:
-        structural = False
+    mismatch = _kernel_mismatch(cfg.kind, cfg.kernel)
+    structural = not cfg.cls_token and mismatch is None
     comparable = structural and not cfg.qkv_bias
     flops_c = params_c = ratio_c = None
     if structural:
@@ -103,7 +115,8 @@ def count_ops(cfg: MixerConfig) -> ComplexityReport:
         kind=cfg.kind, tokens=cfg.tokens, dim=cfg.dim, heads=cfg.heads, kernel=cfg.kernel,
         flops_counted=counter.macs, params_counted=params_counted,
         flops_closed=flops_c, params_closed=params_c, ratio_closed=ratio_c,
-        closed_form_comparable=comparable)
+        closed_form_comparable=comparable,
+        warning=None if mismatch is None else f"{mismatch}; reporting instrumented values")
 
 
 _CURVE_ORDER = ("sepconv", "selfattn", "ska", "cska")

@@ -78,7 +78,7 @@ class Mlp(Module):
 @dataclass
 class BlockConfig:
     mixer: MixerConfig
-    mlp_ratio: float = 4.0
+    mlp_ratio: float
     residual_scale: float = 1.0
 
     def __post_init__(self):
@@ -124,8 +124,8 @@ class ModelConfig:
 
     ``downsample`` lists the patch-merge factor applied before each stage
     after the first (length = len(stages) - 1; defaults to all 2s).
-    Mixer-level options (activation, scaled, qkv_bias, kernel, dropout,
-    key_init) apply to every stage.
+    Mixer-level options (activation, scaled, qkv_bias, cls_token, kernel,
+    dropout, key_init) apply to every stage and default to MixerConfig's.
     """
 
     input: tuple[int, int, int]
@@ -133,15 +133,15 @@ class ModelConfig:
     stages: list[StageConfig]
     num_classes: int
     downsample: list[int] = field(default_factory=list)
-    cls_token: bool = False
+    cls_token: bool = MixerConfig.cls_token
     pos_embed: bool = True
     mlp_ratio: float = 4.0
-    activation: str = "softmax"
-    scaled: bool = True
-    qkv_bias: bool = True
-    kernel: int = 3
-    dropout: float = 0.0
-    key_init: str = "normal"
+    activation: str = MixerConfig.activation
+    scaled: bool = MixerConfig.scaled
+    qkv_bias: bool = MixerConfig.qkv_bias
+    kernel: int = MixerConfig.kernel
+    dropout: float = MixerConfig.dropout
+    key_init: str = MixerConfig.key_init
 
     def __post_init__(self):
         self.input = tuple(self.input)
@@ -168,23 +168,20 @@ class ModelConfig:
             raise ConfigError("cls_token is only supported in single-stage models")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
-        # every stage boundary must divide the spatial extent exactly
+        self.stage_grids()
+
+    def stage_grids(self) -> list[tuple[int, int]]:
+        """The (grid_h, grid_w) token grid of every stage. Raises ConfigError
+        when the patch or a downsample factor does not divide its extent."""
         _, h, w = self.input
         if h % self.patch or w % self.patch:
             raise ConfigError(f"input {h}x{w} not divisible by patch {self.patch}")
-        gh, gw = h // self.patch, w // self.patch
+        grids = [(h // self.patch, w // self.patch)]
         for s, f in enumerate(self.downsample, start=1):
+            gh, gw = grids[-1]
             if gh % f or gw % f:
                 raise ConfigError(f"grid {gh}x{gw} before stage {s} not divisible by factor {f}")
-            gh, gw = gh // f, gw // f
-
-    def stage_grids(self) -> list[tuple[int, int]]:
-        _, h, w = self.input
-        gh, gw = h // self.patch, w // self.patch
-        grids = [(gh, gw)]
-        for f in self.downsample:
-            gh, gw = gh // f, gw // f
-            grids.append((gh, gw))
+            grids.append((gh // f, gw // f))
         return grids
 
     def to_dict(self) -> dict:
@@ -224,14 +221,12 @@ class Downsample(Module):
         self.w = self.register("w", Tensor(rng.normal((dim_out, dim_in, factor, factor)) / np.sqrt(fan_in)))
         self.b = self.register("b", Tensor(np.zeros(dim_out)))
 
-    def forward(self, x: Tensor, grid: tuple[int, int]) -> tuple[Tensor, tuple[int, int]]:
+    def forward(self, x: Tensor, grid: tuple[int, int]) -> Tensor:
         b, n, d = x.shape
-        gh, gw = grid
-        img = x.transpose(0, 2, 1).reshape(b, d, gh, gw)
+        img = x.transpose(0, 2, 1).reshape(b, d, *grid)
         img = T.conv2d_grouped(img, self.w, self.b, stride=self.factor, padding=0, groups=1)
-        nh, nw = gh // self.factor, gw // self.factor
-        out = img.reshape(img.shape[0], img.shape[1], nh * nw).transpose(0, 2, 1)
-        return out, (nh, nw)
+        _, d_out, nh, nw = img.shape
+        return img.reshape(b, d_out, nh * nw).transpose(0, 2, 1)
 
 
 class Model(Module):
@@ -262,8 +257,7 @@ class Model(Module):
             grid = grids[s]
             mixer_cfg = MixerConfig(
                 kind=stage_cfg.kind, dim=stage_cfg.dim, heads=stage_cfg.heads,
-                tokens=grid[0] * grid[1],
-                grid=grid if stage_cfg.kind in ("cska", "sepconv") else None,
+                tokens=grid[0] * grid[1], grid=grid,
                 activation=cfg.activation, scaled=cfg.scaled, qkv_bias=cfg.qkv_bias,
                 cls_token=cfg.cls_token, kernel=cfg.kernel, dropout=cfg.dropout,
                 key_init=cfg.key_init,
@@ -302,7 +296,7 @@ class Model(Module):
         tokens = self.embed(images)
         for s, stage in enumerate(self.stages):
             if s > 0:
-                tokens, _ = self.downsamples[s - 1](tokens, self._grids[s - 1])
+                tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
             tokens = stage(tokens, attn_sink)
         x = self.norm(tokens)
         if self.cls is not None:
@@ -405,11 +399,15 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
         if n_params != len(table):
             raise CheckpointError(
                 f"checkpoint holds {n_params} parameters but the model has {len(table)}")
+        seen = set()
         for _ in range(n_params):
             name_len = struct.unpack("<H", _read(f, 2, "name length"))[0]
             name = _read(f, name_len, "name").decode()
             if name not in table:
                 raise CheckpointError(f"checkpoint parameter {name!r} not present in model")
+            if name in seen:
+                raise CheckpointError(f"checkpoint lists parameter {name!r} twice")
+            seen.add(name)
             ndim = struct.unpack("<B", _read(f, 1, "rank"))[0]
             shape = tuple(struct.unpack("<I", _read(f, 4, "extent"))[0] for _ in range(ndim))
             tensor = table[name]

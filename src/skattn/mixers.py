@@ -37,6 +37,9 @@ from .tensor import Rng, Tensor
 
 KINDS = ("mhsa", "ska", "cska", "sepconv")
 ACTIVATIONS = ("softmax", "gelu", "relu", "starrelu")
+# kinds that lay their tokens out on a (grid_h, grid_w) grid and convolve it
+# with a kernel x kernel window
+GRID_KINDS = ("cska", "sepconv")
 
 # StarReLU s * relu(x)^2 + b initial scalars: 1/sqrt(1.25) and -sqrt(0.2)
 _STARRELU_SCALE = 0.8944
@@ -47,10 +50,12 @@ _STARRELU_BIAS = -0.4472
 class MixerConfig:
     """Configuration shared by all four mixer kinds.
 
-    ``tokens`` is the spatial token count (excluding any CLS token); for
-    cska/sepconv it must equal grid_h * grid_w. ``qkv_bias`` toggles every
-    bias in the mixer (projections and the cska key convolution); bias-free
-    mode is what the closed-form parameter counts assume.
+    ``tokens`` is the spatial token count (excluding any CLS token). A
+    ``grid`` (grid_h, grid_w) may be given for any kind and must hold exactly
+    ``tokens`` cells; cska and sepconv lay the tokens out on it, so they
+    require one. ``qkv_bias`` toggles every bias in the mixer (projections
+    and the cska key convolution); bias-free mode is what the closed-form
+    parameter counts assume.
     """
 
     kind: str
@@ -81,23 +86,18 @@ class MixerConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.key_init not in ("normal", "trunc"):
             raise ConfigError(f"unknown key_init {self.key_init!r}")
+        if self.kind in ("ska", "cska") and self.tokens < 1:
+            raise ConfigError(f"{self.kind} requires a fixed token count, got {self.tokens}")
         if self.grid is not None:
             self.grid = tuple(self.grid)
-        if self.kind in ("ska", "cska") and self.tokens < 1 and self.grid is None:
-            raise ConfigError(f"{self.kind} requires a fixed token count, got {self.tokens}")
-        if self.kind in ("cska", "sepconv"):
+            gh, gw = self.grid
+            if gh * gw != self.tokens:
+                raise ConfigError(f"grid {gh}x{gw} does not match {self.tokens} tokens")
+        if self.kind in GRID_KINDS:
             if self.grid is None:
                 raise ConfigError(f"{self.kind} requires a (grid_h, grid_w) token grid")
-            gh, gw = self.grid
-            if self.tokens and gh * gw != self.tokens:
-                raise ConfigError(f"grid {gh}x{gw} does not match {self.tokens} tokens")
-            if self.tokens == 0:
-                self.tokens = gh * gw
             if self.kernel < 1 or self.kernel % 2 == 0:
                 raise ConfigError(f"{self.kind} kernel must be odd and positive, got {self.kernel}")
-        if self.kind == "ska" and self.tokens == 0 and self.grid is not None:
-            gh, gw = self.grid
-            self.tokens = gh * gw
         if self.kind == "sepconv" and self.cls_token:
             raise ConfigError("sepconv cannot carry a CLS token (no attention path)")
 

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.seed < 2 ** 64:  # checkpoints store the seed as a u64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.optimizer not in ("sgd", "adamw"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):

@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from skattn import ModelConfig, build_model, save_checkpoint
-from skattn.cli import main
+from skattn import (ConfigError, ModelConfig, TrainConfig, build_model, load_checkpoint,
+                    load_idx_images, save_checkpoint)
+from skattn.cli import load_config, main
+from test_train import _write_idx_pair
 
 
 def run(*argv):
@@ -13,6 +16,14 @@ def run(*argv):
 
 FAST_TRAIN = ["--set", "train.steps=10", "--set", "train.eval_every=0",
               "--set", "data.n_train=64", "--set", "data.n_test=16"]
+
+
+def _write_idx(tmp_path, prefix, count, seed=0):
+    """An IDX pair of `count` random 8x8 images with 0/1 labels; returns the paths."""
+    rng = np.random.default_rng(seed)
+    paths = _write_idx_pair(tmp_path, rng.integers(0, 256, size=(count, 8, 8)),
+                            rng.integers(0, 2, size=count), prefix=prefix)
+    return tuple(str(path) for path in paths)
 
 
 class TestTrainCommand:
@@ -162,6 +173,13 @@ class TestAttnmapCommand:
         assert run("attnmap", "--checkpoint", str(tmp_path / "nope.skaf"),
                    "--out", str(tmp_path / "m")) == 2
 
+    def test_images_without_labels_exits_2(self, tmp_path, capsys):
+        images, _ = _write_idx(tmp_path, "probe", 2)
+        rc = run("attnmap", "--checkpoint", str(self._checkpoint(tmp_path)),
+                 "--images", images, "--out", str(tmp_path / "m"))
+        assert rc == 2
+        assert "--labels" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_heads_grid(self, tmp_path):
@@ -208,3 +226,104 @@ class TestAblateCommand:
         rc = run("ablate", "--activations", "swish", "--out", str(tmp_path / "ab"))
         assert rc == 2
         assert "softmax" in capsys.readouterr().err
+
+
+class TestIdxData:
+    def test_train_then_attnmap_on_idx_files(self, tmp_path):
+        images, labels = _write_idx(tmp_path, "train", 24)
+        test_images, test_labels = _write_idx(tmp_path, "test", 8, seed=1)
+        out = tmp_path / "run"
+        assert run("train", "--set", f"data.images={images}", "--set", f"data.labels={labels}",
+                   "--set", f"data.test_images={test_images}",
+                   "--set", f"data.test_labels={test_labels}",
+                   "--set", "train.steps=3", "--set", "train.eval_every=0",
+                   "--set", "train.batch_size=8", "--out", str(out)) == 0
+        rows = (out / "runlog.csv").read_text().strip().splitlines()
+        assert len(rows) == 4 and rows[-1].split(",")[2] != ""  # evaluated on the test pair
+
+        maps = tmp_path / "maps"
+        ckpt = str(out / "model.skaf")
+        assert run("attnmap", "--checkpoint", ckpt, "--images", test_images,
+                   "--labels", test_labels, "--index", "5", "--out", str(maps)) == 0
+        model, _, _ = load_checkpoint(ckpt)
+        probe = load_idx_images(test_images, test_labels).images[5:6]
+        for i, (name, _, avg) in enumerate(model.attention_maps(probe)):
+            got = np.loadtxt(maps / f"attn_{i:02d}_{name.replace('.', '_')}.csv", delimiter=",")
+            np.testing.assert_allclose(got, avg[0], rtol=1e-8, atol=1e-12)
+        assert run("attnmap", "--checkpoint", ckpt, "--images", test_images,
+                   "--labels", test_labels, "--index", "8", "--out", str(maps)) == 2
+
+    def test_test_images_without_test_labels_exits_2(self, tmp_path, capsys):
+        images, labels = _write_idx(tmp_path, "train", 8)
+        rc = run("train", "--set", f"data.images={images}", "--set", f"data.labels={labels}",
+                 "--set", f"data.test_images={images}", "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "data.test_labels" in capsys.readouterr().err
+
+
+class TestConfigDefaults:
+    def test_sections_are_the_dataclass_fields_as_json(self):
+        cfg = load_config(None, [])
+        assert list(cfg["model"]) == [f.name for f in fields(ModelConfig)]
+        assert list(cfg["train"]) == [f.name for f in fields(TrainConfig)]
+        assert len(cfg["data"]) == 9
+        assert json.loads(json.dumps(cfg)) == cfg  # no tuples: lists all the way down
+        # the toy overrides of the dataclass defaults
+        assert (cfg["model"]["mlp_ratio"], cfg["train"]["batch_size"],
+                cfg["train"]["steps"], cfg["train"]["eval_every"]) == (2.0, 16, 600, 100)
+        assert cfg["model"]["stages"] == [{"kind": "ska", "depth": 2, "dim": 32, "heads": 4}]
+
+    def test_negative_seed_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--seed", "-1", "--out", str(out)) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
+
+class TestSetCoercion:
+    @pytest.mark.parametrize("assignment,path,want", [
+        ("model.scaled=false", ("model", "scaled"), False),
+        ("model.qkv_bias=0", ("model", "qkv_bias"), False),
+        ("model.cls_token=yes", ("model", "cls_token"), True),
+        ("train.lr=0.25", ("train", "lr"), 0.25),
+        ("model.mlp_ratio=3", ("model", "mlp_ratio"), 3.0),
+        ("train.steps=7", ("train", "steps"), 7),
+        ("model.input=[1,4,4]", ("model", "input"), [1, 4, 4]),
+        ("train.betas=[0.8, 0.9]", ("train", "betas"), [0.8, 0.9]),
+        ("data.images=null", ("data", "images"), None),
+        ("data.images=some/file.idx", ("data", "images"), "some/file.idx"),
+    ])
+    def test_leaf_types(self, assignment, path, want):
+        section, key = path
+        got = load_config(None, [assignment])[section][key]
+        assert got == want and type(got) is type(want)
+
+    def test_null_after_a_path(self):
+        cfg = load_config(None, ["data.labels=a.idx", "data.labels=null"])
+        assert cfg["data"]["labels"] is None
+
+    @pytest.mark.parametrize("assignment,message", [
+        ("model.scaled=maybe", "as bool"),
+        ("train.steps=1.5", "as int"),
+        ("train.lr=fast", "as float"),
+        ("model.input=[1,4", "as JSON"),
+        ('model.input={"c": 1}', "expects list, got dict"),
+        ("train.steps", "dotted.path=value"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, capsys, assignment, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(None, [assignment])
+        assert run("train", "--set", assignment, "--out", str(tmp_path / "x")) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestCountGrid:
+    def test_grid_must_hold_the_tokens_for_every_kind(self, capsys):
+        assert run("count", "--mixer", "ska", "--N", "16", "--D", "8", "--grid", "3,3") == 2
+        assert "grid 3x3 does not match 16 tokens" in capsys.readouterr().err
+        assert run("count", "--mixer", "ska", "--N", "16", "--D", "8", "--grid", "2,8",
+                   "--bias-free") == 0
+
+    def test_zero_tokens_exits_2(self, capsys):
+        assert run("count", "--mixer", "cska", "--N", "0", "--D", "8") == 2
+        assert "N must be >= 1" in capsys.readouterr().err

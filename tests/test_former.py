@@ -97,6 +97,24 @@ class TestModel:
             ModelConfig.from_dict({"input": [1, 8, 8], "patch": 1, "num_classes": 2,
                                    "stages": [], "windows": True})
 
+    def test_stage_grids_reach_every_mixer(self):
+        cfg = ModelConfig(input=(1, 16, 16), patch=2, num_classes=2, mlp_ratio=2.0,
+                          downsample=[2, 1, 2],
+                          stages=[{"kind": "dwconv", "depth": 1, "dim": 8, "heads": 1},
+                                  {"kind": "cska", "depth": 1, "dim": 8, "heads": 2},
+                                  {"kind": "ska", "depth": 1, "dim": 8, "heads": 2},
+                                  {"kind": "attn", "depth": 2, "dim": 8, "heads": 2}])
+        grids = [(8, 8), (4, 4), (4, 4), (2, 2)]
+        assert cfg.stage_grids() == grids
+        model = build_model(cfg, seed=0)
+        for stage, grid in zip(model.stages, grids):
+            for block in stage.blocks:
+                assert (block.mixer.cfg.grid, block.mixer.cfg.tokens) == (grid, grid[0] * grid[1])
+        assert model(Rng(1).normal((2, 1, 16, 16))).shape == (2, 2)
+        with pytest.raises(ConfigError, match="grid 4x4 before stage 2 not divisible by factor 3"):
+            ModelConfig(input=(1, 16, 16), patch=2, num_classes=2, downsample=[2, 3],
+                        stages=[{"kind": "mhsa", "depth": 1, "dim": 8, "heads": 1}] * 3)
+
     def test_kind_aliases(self):
         assert canonical_kind("DW-Conv") == "sepconv"
         assert canonical_kind("attn") == "mhsa"
@@ -239,3 +257,15 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded, _, _ = load_checkpoint(path, config=toy_model_config())
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
+
+    def test_parameter_listed_twice_rejected(self, tmp_path):
+        model = build_model(toy_model_config(), seed=0)
+        path = tmp_path / "model.skaf"
+        save_checkpoint(model, path)
+        # same name length and shape: only the repeat betrays the missing norm2.gamma
+        blob = path.read_bytes()
+        first, second = b"stage0.block0.norm1.gamma", b"stage0.block0.norm2.gamma"
+        assert blob.count(second) == 1
+        path.write_bytes(blob.replace(second, first))
+        with pytest.raises(CheckpointError, match="norm1.gamma.*twice"):
+            load_checkpoint(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skattn import (ConfigError, MacCounter, MixerConfig, Rng, ShapeError, Tape, Tensor,
+from skattn import (KINDS, ConfigError, MacCounter, MixerConfig, Rng, ShapeError, Tape, Tensor,
                     attention_trace, backward, build_mixer, count_parameters, grad_check,
                     mixer_properties)
 from skattn import tensor as tz
@@ -193,6 +193,14 @@ class TestCska:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="grid"):
             MixerConfig(kind="cska", dim=8, heads=2, tokens=16, grid=(3, 4))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grid_checked_for_every_kind(self, kind):
+        assert MixerConfig(kind=kind, dim=8, heads=2, tokens=16, grid=[2, 8]).grid == (2, 8)
+        with pytest.raises(ConfigError, match="grid 3x3 does not match 16 tokens"):
+            MixerConfig(kind=kind, dim=8, heads=2, tokens=16, grid=(3, 3))
+        with pytest.raises(ConfigError):  # the grid does not stand in for the token count
+            MixerConfig(kind=kind, dim=8, heads=2, grid=(4, 4))
 
 
 class TestSepConv:

@@ -6,7 +6,7 @@ import pytest
 
 from skattn import (AdamW, ConfigError, DataError, Dataset, Module, NumericsError,
                     Parameter, Rng, Sgd, Tensor, TrainConfig, build_model, clip_grad_norm,
-                    cross_entropy, evaluate, load_idx_images, synth_dataset, train)
+                    cross_entropy, evaluate, load_idx_images, step, synth_dataset, train)
 from skattn import ModelConfig
 from oracles import pooled_nearest_centroid, reference_adam
 
@@ -256,3 +256,36 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="lion")
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ConfigError, match="seed"):
+                TrainConfig(seed=seed)
+        assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    def test_sgd_config_matches_written_out_updates(self):
+        # two full-batch steps of SGD with momentum and coupled L2 decay
+        ds = synth_dataset("stripe_orientation", 16, seed=0)
+        lr, momentum, decay = 0.05, 0.9, 0.1
+        cfg = TrainConfig(optimizer="sgd", lr=lr, momentum=momentum, weight_decay=decay,
+                          steps=2, batch_size=16, clip_norm=0.0, seed=3)
+        model = toy_model(seed=2)
+        log = train(model, ds, cfg)
+
+        class NoUpdate:
+            def step(self):
+                pass
+
+        ref = toy_model(seed=2)
+        params = ref.named_parameters()
+        velocity = {p.name: np.zeros_like(p.tensor.data) for p in params}
+        order_rng = Rng(3).split("order")
+        losses = []
+        for _ in range(2):
+            idx = order_rng.permutation(16)
+            loss, _ = step(ref, ds.images[idx], ds.labels[idx], NoUpdate())
+            losses.append(loss)
+            for p in params:
+                velocity[p.name] = momentum * velocity[p.name] + (p.tensor.grad + decay * p.tensor.data)
+                p.tensor.data = p.tensor.data - lr * velocity[p.name]
+        assert log.losses == losses
+        for got, want in zip(model.named_parameters(), params):
+            assert np.array_equal(got.tensor.data, want.tensor.data), got.name
