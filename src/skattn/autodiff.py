@@ -17,11 +17,10 @@ __all__ = ["Parameter", "Module", "backward", "grad_check", "GradCheckResult", "
 
 @dataclass
 class Parameter:
-    """A named trainable tensor inside a model."""
+    """A named parameter tensor inside a model."""
 
     name: str
     tensor: Tensor
-    trainable: bool = True
 
 
 class Module:
@@ -33,14 +32,14 @@ class Module:
     """
 
     def __init__(self):
-        self._params: dict[str, tuple[Tensor, bool]] = {}
+        self._params: dict[str, Tensor] = {}
         self._modules: dict[str, Module] = {}
         self.training = False
 
-    def register(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
+    def register(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params or name in self._modules:
             raise ValueError(f"duplicate name {name!r}")
-        self._params[name] = (tensor, trainable)
+        self._params[name] = tensor
         return tensor
 
     def add_module(self, name: str, module: "Module") -> "Module":
@@ -50,15 +49,10 @@ class Module:
         return module
 
     def named_parameters(self, prefix: str = "") -> list[Parameter]:
-        out = []
-        for name, (tensor, trainable) in self._params.items():
-            out.append(Parameter(prefix + name, tensor, trainable))
+        out = [Parameter(prefix + name, tensor) for name, tensor in self._params.items()]
         for name, module in self._modules.items():
             out.extend(module.named_parameters(prefix + name + "."))
         return out
-
-    def parameters(self) -> list[Tensor]:
-        return [p.tensor for p in self.named_parameters() if p.trainable]
 
     def train(self, mode: bool = True) -> "Module":
         self.training = mode
@@ -144,8 +138,6 @@ def grad_check(f: Callable[[], Tensor], params: list[Parameter], *,
 
     results = []
     for p in params:
-        if not p.trainable:
-            continue
         analytic = grads.get(p.tensor)
         flat = p.tensor.data.reshape(-1)
         ana_flat = None if analytic is None else analytic.reshape(-1)

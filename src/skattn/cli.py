@@ -8,8 +8,9 @@
     skattn sweep     --heads 1,2,4,8 --out runs/sweep
     skattn ablate    --out runs/ablate
 
-Config files are JSON with three sections (model, train, data); any leaf is
-overridable with --set dotted.path=value. Exit codes: 0 success, 1
+Config files are JSON with three sections (model, train, data), applied as a
+batch of --set dotted.path=value assignments, so both are parsed and checked
+alike. Exit codes: 0 success, 1
 numerical failure, 2 configuration or IO error. Artifacts land under --out
 together with a manifest.json enumerating them.
 """
@@ -35,7 +36,7 @@ from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
 from .former import ModelConfig, build_model, count_parameters, load_checkpoint, save_checkpoint
 from .mixers import ACTIVATIONS, KINDS, build_mixer
 from .tensor import MacCounter, Rng, Tensor
-from .train import Dataset, TrainConfig, evaluate, load_idx_images, synth_dataset, train
+from .train import Dataset, TrainConfig, load_idx_images, synth_dataset, train
 
 # The model and train sections are the dataclass defaults plus the toy
 # overrides; the JSON round trip turns tuples into lists, as `_coerce` expects.
@@ -60,18 +61,6 @@ DEFAULT_CONFIG = json.loads(json.dumps({
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-def _merge(default: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(default)
-    for key, value in override.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, path + key + ".")
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
 
 def _coerce(old, raw: str, path: str):
     if isinstance(old, bool):
@@ -105,20 +94,26 @@ def _coerce(old, raw: str, path: str):
     return raw
 
 
-def _apply_set(config: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"--set expects dotted.path=value, got {assignment!r}")
-    dotted, raw = assignment.split("=", 1)
-    keys = dotted.strip().split(".")
+def _assign(config: dict, dotted: str, raw: str) -> None:
+    """Set the leaf at `dotted` from its text form, typed by `_coerce`. A JSON
+    object given for a section sets each of its keys the same way."""
+    *parents, leaf = dotted.split(".")
     node = config
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[key]
-    leaf = keys[-1]
+    for key in parents:
+        node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
-    node[leaf] = _coerce(node[leaf], raw, dotted)
+    value = _coerce(node[leaf], raw, dotted)
+    if isinstance(node[leaf], dict):
+        for key, item in value.items():
+            _assign(config, f"{dotted}.{key}", _as_text(item))
+    else:
+        node[leaf] = value
+
+
+def _as_text(value) -> str:
+    """A JSON value as `--set` text: a string as itself, anything else as JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def load_config(path: str | None, sets: list[str] | None) -> dict:
@@ -133,15 +128,23 @@ def load_config(path: str | None, sets: list[str] | None) -> dict:
             raise ConfigError(f"config file {p} is not valid JSON: {e}") from None
         if not isinstance(on_disk, dict):
             raise ConfigError(f"config file {p} must hold a JSON object")
-        config = _merge(config, on_disk)
+        # a config file is a batch of --set assignments, one per top-level key
+        for key, value in on_disk.items():
+            _assign(config, key, _as_text(value))
     for assignment in sets or []:
-        _apply_set(config, assignment)
+        if "=" not in assignment:
+            raise ConfigError(f"--set expects dotted.path=value, got {assignment!r}")
+        dotted, raw = assignment.split("=", 1)
+        _assign(config, dotted.strip(), raw)
     return config
 
 
-def _load_idx_pair(images: str | None, labels: str | None, names: tuple[str, str]) -> Dataset:
-    """Load an IDX (images, labels) pair; `names` are the config keys or
-    flags that gave the two paths, for the error messages."""
+def _load_idx_pair(images: str | None, labels: str | None,
+                   names: tuple[str, str]) -> Dataset | None:
+    """Load an IDX (images, labels) pair, or return None when both paths are
+    absent; `names` are the config keys or flags that gave the two paths."""
+    if not images and not labels:
+        return None
     for path, name in zip((images, labels), names):
         if not path:
             raise ConfigError(f"{name} is required when loading IDX files")
@@ -151,14 +154,14 @@ def _load_idx_pair(images: str | None, labels: str | None, names: tuple[str, str
 
 
 def _datasets_from(data_cfg: dict) -> tuple[Dataset, Dataset | None]:
-    if data_cfg["images"]:
-        train_ds = _load_idx_pair(data_cfg["images"], data_cfg["labels"],
-                                  ("data.images", "data.labels"))
-        test_ds = None
-        if data_cfg["test_images"]:
-            test_ds = _load_idx_pair(data_cfg["test_images"], data_cfg["test_labels"],
-                                     ("data.test_images", "data.test_labels"))
+    train_ds = _load_idx_pair(data_cfg["images"], data_cfg["labels"],
+                              ("data.images", "data.labels"))
+    test_ds = _load_idx_pair(data_cfg["test_images"], data_cfg["test_labels"],
+                             ("data.test_images", "data.test_labels"))
+    if train_ds is not None:
         return train_ds, test_ds
+    if test_ds is not None:
+        raise ConfigError("data.test_images/data.test_labels need data.images and data.labels")
     grid = tuple(data_cfg["grid"])
     train_ds = synth_dataset(data_cfg["kind"], data_cfg["n_train"], grid, data_cfg["seed"])
     test_ds = synth_dataset(data_cfg["kind"], data_cfg["n_test"], grid, data_cfg["seed"] + 1)
@@ -218,18 +221,14 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
         cfg["data"]["seed"] = args.seed
-    model_cfg = ModelConfig.from_dict(cfg["model"])
-    train_cfg = TrainConfig(**cfg["train"])
-    train_ds, test_ds = _datasets_from(cfg["data"])
-
-    model = build_model(model_cfg, seed=train_cfg.seed)
-    log = train(model, train_ds, train_cfg, eval_dataset=test_ds)
+    seed = cfg["train"]["seed"]
+    model, log, _, _ = _train_cell(cfg, seed)
 
     out = _out_dir(args)
     runlog = out / "runlog.csv"
     runlog.write_text(log.to_csv())
     ckpt = out / "model.skaf"
-    save_checkpoint(model, ckpt, seed=train_cfg.seed, step=log.steps[-1] if log.steps else 0)
+    save_checkpoint(model, ckpt, seed=seed, step=log.steps[-1] if log.steps else 0)
     config_echo = out / "config.json"
     config_echo.write_text(json.dumps(cfg, indent=2) + "\n")
     _write_manifest(out, "train", [runlog, ckpt, config_echo])
@@ -333,8 +332,8 @@ def cmd_curves(args) -> int:
 def cmd_attnmap(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     c, h, w = model.cfg.input
-    if args.images:
-        ds = _load_idx_pair(args.images, args.labels, ("--images", "--labels"))
+    ds = _load_idx_pair(args.images, args.labels, ("--images", "--labels"))
+    if ds is not None:
         if not 0 <= args.index < len(ds):
             raise ConfigError(f"--index {args.index} out of range for {len(ds)} images")
         image = ds.images[args.index:args.index + 1]
@@ -373,18 +372,16 @@ def _model_forward_macs(model) -> int:
 
 
 def _train_cell(cell: dict, seed: int):
-    """Train one sweep/ablation cell under `seed`; return the model, its test
+    """Train one config under `seed`; return the model, its run log, its test
     accuracy (nan without a test set) and 8 probe images (test, else train)."""
     cell["train"]["seed"] = seed
     model_cfg = ModelConfig.from_dict(cell["model"])
     train_cfg = TrainConfig(**cell["train"])
     train_ds, test_ds = _datasets_from(cell["data"])
     model = build_model(model_cfg, seed=seed)
-    train(model, train_ds, train_cfg, eval_dataset=test_ds)
-    if test_ds is None:
-        return model, float("nan"), train_ds.images[:8]
-    acc, _ = evaluate(model, test_ds)
-    return model, acc, test_ds.images[:8]
+    log = train(model, train_ds, train_cfg, eval_dataset=test_ds)
+    acc = float("nan") if log.final_eval_acc is None else log.final_eval_acc
+    return model, log, acc, (train_ds if test_ds is None else test_ds).images[:8]
 
 
 def cmd_sweep(args) -> int:
@@ -397,7 +394,7 @@ def cmd_sweep(args) -> int:
         for stage in cell["model"]["stages"]:
             stage["heads"] = h
         cell_seed = base_seed + i
-        model, acc, _ = _train_cell(cell, cell_seed)
+        model, _, acc, _ = _train_cell(cell, cell_seed)
         _, params = count_parameters(model)
         flops = _model_forward_macs(model)
         rows.append([h, f"{acc:.4f}", params, flops, cell_seed])
@@ -436,7 +433,7 @@ def cmd_ablate(args) -> int:
             for stage in cell["model"]["stages"]:
                 stage["kind"] = args.mixer
         cell_seed = base_seed + i
-        model, acc, probe = _train_cell(cell, cell_seed)
+        model, _, acc, probe = _train_cell(cell, cell_seed)
         row_dev = _max_row_sum_deviation(model, probe)
         normalized = act == "softmax"
         rows.append([act, scaled, normalized, f"{row_dev:.6g}", f"{acc:.4f}", cell_seed])

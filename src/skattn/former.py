@@ -329,8 +329,8 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
 
 
 def count_parameters(module: Module) -> tuple[dict[str, int], int]:
-    """Exact trainable-parameter sizes by name, plus the total."""
-    sizes = {p.name: p.tensor.size for p in module.named_parameters() if p.trainable}
+    """Exact parameter sizes by name, plus the total."""
+    sizes = {p.name: p.tensor.size for p in module.named_parameters()}
     return sizes, sum(sizes.values())
 
 

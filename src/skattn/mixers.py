@@ -4,7 +4,7 @@ Four interchangeable kinds, built by two classes:
 
 * ``mhsa``     -- multi-head self-attention: dynamic queries, keys, values.
 * ``ska``      -- static key attention: the key projection is replaced by a
-  trainable per-head matrix of shape [N, d_h]; logits are Q @ key^T, so the
+  learned per-head matrix of shape [N, d_h]; logits are Q @ key^T, so the
   key is bound to token positions instead of being computed from the input.
 * ``cska``     -- convolutional static key attention: the logits come from a
   grouped convolution over the query feature map laid out as an image
@@ -193,14 +193,14 @@ class Attention(TokenMixer):
       carries no bias even with qkv_bias on: a key bias shifts every logit
       in a row by the same amount, so softmax attention is exactly invariant
       to it and the parameter would be inert. Length-flexible.
-    * ska: Q @ key^T with a trainable ``key`` of shape [heads, N, d_h], so
+    * ska: Q @ key^T with a learned ``key`` of shape [heads, N, d_h], so
       the token count is fixed at build time (N+1 rows with a CLS token);
       allow_token_resize interpolates it at inference. No key bias.
     * cska: the queries laid out as an image [B, D, grid_h, grid_w] go
       through a grouped convolution (``conv_w``/``conv_b``; groups = heads,
       N output channels per group, same-size padding), which yields at every
       query position one logit per key position. With a CLS token every
-      query gains one extra key column from a trainable per-head
+      query gains one extra key column from a learned per-head
       ``cls_key`` dotted with its query, and the CLS query's spatial-key
       row is zero (it has no spatial position).
 

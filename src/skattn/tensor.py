@@ -427,20 +427,26 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def bwd(g):
         g4 = g.reshape(B, groups, cog, ho * wo)
-        gw = np.matmul(g4, np.swapaxes(cols2, -1, -2)).sum(axis=0).reshape(wd.shape)
-        gcols = np.matmul(np.swapaxes(w2, -1, -2)[None], g4)
-        gc6 = gcols.reshape(B, groups, cg, k, k, ho, wo)
-        gxp = np.zeros_like(xg)
-        for i in range(k):
-            for j in range(k):
-                gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gc6[:, :, :, i, j]
-        gxp = gxp.reshape(xp.shape)
-        if padding:
-            gx = gxp[:, :, padding:-padding, padding:-padding]
-        else:
-            gx = gxp
-        grads = [np.ascontiguousarray(gx), gw]
-        if bias is not None and isinstance(bias, Tensor):
+        # the weight gradient first, so that its [B, G, C_out/G, C_in/G*k*k]
+        # product is freed before the input gradient's buffers are allocated
+        gw = None
+        if isinstance(weight, Tensor):
+            gw = np.matmul(g4, np.swapaxes(cols2, -1, -2)).sum(axis=0).reshape(wd.shape)
+        grads = []
+        if isinstance(x, Tensor):
+            gcols = np.matmul(np.swapaxes(w2, -1, -2)[None], g4)
+            gc6 = gcols.reshape(B, groups, cg, k, k, ho, wo)
+            gxp = np.zeros_like(xg)
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gc6[:, :, :, i, j]
+            gxp = gxp.reshape(xp.shape)
+            if padding:
+                gxp = gxp[:, :, padding:-padding, padding:-padding]
+            grads.append(np.ascontiguousarray(gxp))
+        if gw is not None:
+            grads.append(gw)
+        if isinstance(bias, Tensor):
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
 

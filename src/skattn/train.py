@@ -131,7 +131,11 @@ def synth_dataset(kind: str, n: int, grid: tuple[int, int] = (8, 8), seed: int =
     return Dataset(images, labels, split=f"{kind}:{seed}")
 
 
-def _read_idx_header(blob: bytes, path, expected_magic: int, n_dims: int) -> tuple[tuple[int, ...], int]:
+def _read_idx(path, expected_magic: int, n_dims: int, unit: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """Read an IDX file of unsigned bytes: its header dims and its payload,
+    which must hold exactly the product of the dims (`unit`s, for errors)."""
+    with open(path, "rb") as f:
+        blob = f.read()
     header = 4 * (1 + n_dims)
     if len(blob) < 4:
         raise DataError(f"truncated IDX file {path}: no magic")
@@ -141,7 +145,12 @@ def _read_idx_header(blob: bytes, path, expected_magic: int, n_dims: int) -> tup
     if len(blob) < header:
         raise DataError(f"truncated IDX file {path}: incomplete header")
     dims = tuple(int.from_bytes(blob[4 * (i + 1):4 * (i + 2)], "big") for i in range(n_dims))
-    return dims, header
+    expected = math.prod(dims)
+    payload = blob[header:]
+    if len(payload) != expected:
+        raise DataError(
+            f"truncated IDX file {path}: expected {expected} {unit}, got {len(payload)}")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def load_idx_images(images_path, labels_path) -> Dataset:
@@ -149,28 +158,12 @@ def load_idx_images(images_path, labels_path) -> Dataset:
 
     Pixels are scaled to [0, 1] and a channel axis is inserted.
     """
-    with open(images_path, "rb") as f:
-        blob = f.read()
-    (count, rows, cols), offset = _read_idx_header(blob, images_path, IDX_IMAGES_MAGIC, 3)
-    expected = count * rows * cols
-    payload = blob[offset:]
-    if len(payload) != expected:
-        raise DataError(
-            f"truncated IDX file {images_path}: expected {expected} pixel bytes, got {len(payload)}")
-    images = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    images = images.reshape(count, 1, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        blob = f.read()
-    (label_count,), offset = _read_idx_header(blob, labels_path, IDX_LABELS_MAGIC, 1)
-    payload = blob[offset:]
-    if len(payload) != label_count:
-        raise DataError(
-            f"truncated IDX file {labels_path}: expected {label_count} labels, got {len(payload)}")
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixel bytes")
+    images = (pixels.astype(np.float64) / 255.0).reshape(count, 1, rows, cols)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     if label_count != count:
         raise DataError(f"{count} images in {images_path} but {label_count} labels in {labels_path}")
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    return Dataset(images, labels, split=str(images_path))
+    return Dataset(images, labels.astype(np.int64), split=str(images_path))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +203,7 @@ class Sgd:
 
     def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.9,
                  weight_decay: float = 0.0):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -234,7 +227,7 @@ class AdamW:
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.05):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.lr = lr
         self.betas = betas
         self.eps = eps

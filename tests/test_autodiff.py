@@ -177,6 +177,13 @@ class TestPrimitiveGradients:
         ("conv_s2p1", lambda t, w: (tz.conv2d_grouped(
             matmul(t(24, 4), w).reshape(1, 4, 6, 4),
             t(6, 2, 3, 3), t(6,), stride=2, padding=1, groups=2) * t(1, 6, 3, 2)).sum()),
+        # a plain-array operand gets no gradient slot; the Tensor ones keep theirs
+        ("conv_plain_input", lambda t, w: (tz.conv2d_grouped(
+            t(1, 4, 6, 4).data, matmul(t(27, 4), w).reshape(6, 2, 3, 3),
+            matmul(t(6, 4), w).sum(axis=-1), stride=2, padding=1, groups=2) * t(1, 6, 3, 2)).sum()),
+        ("conv_plain_weight", lambda t, w: (tz.conv2d_grouped(
+            matmul(t(24, 4), w).reshape(1, 4, 6, 4), t(6, 2, 3, 3).data,
+            matmul(t(6, 4), w).sum(axis=-1), stride=2, padding=1, groups=2) * t(1, 6, 3, 2)).sum()),
     ])
     def test_backward_matches_central_differences(self, name, build):
         rng = Rng(17)

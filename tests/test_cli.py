@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,13 @@ class TestAttnmapCommand:
         assert rc == 2
         assert "--labels" in capsys.readouterr().err
 
+    def test_labels_without_images_exits_2(self, tmp_path, capsys):
+        _, labels = _write_idx(tmp_path, "probe", 2)
+        rc = run("attnmap", "--checkpoint", str(self._checkpoint(tmp_path)),
+                 "--labels", labels, "--out", str(tmp_path / "m"))
+        assert rc == 2
+        assert "--images is required" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_heads_grid(self, tmp_path):
@@ -327,3 +336,96 @@ class TestCountGrid:
     def test_zero_tokens_exits_2(self, capsys):
         assert run("count", "--mixer", "cska", "--N", "0", "--D", "8") == 2
         assert "N must be >= 1" in capsys.readouterr().err
+
+
+def _config_file(tmp_path, content) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
+class TestConfigFileAsSetBatch:
+    """A config file is applied as a batch of --set assignments."""
+
+    def test_string_bools_build_the_set_model(self, tmp_path):
+        cfg_path = _config_file(tmp_path, {"model": {"scaled": "false", "qkv_bias": "no"}})
+        sets = ["model.scaled=false", "model.qkv_bias=no"]
+        from_file = load_config(cfg_path, [])
+        assert from_file == load_config(None, sets)
+        assert from_file["model"]["scaled"] is False and from_file["model"]["qkv_bias"] is False
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("train", "--config", cfg_path, *FAST_TRAIN, "--out", str(a)) == 0
+        assert run("train", *[arg for s in sets for arg in ("--set", s)], *FAST_TRAIN,
+                   "--out", str(b)) == 0
+        assert (a / "model.skaf").read_bytes() == (b / "model.skaf").read_bytes()
+
+    def test_string_int_trains_like_set(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        cfg_path = _config_file(tmp_path, {"train": {"batch_size": "8"}})
+        assert run("train", "--config", cfg_path, *FAST_TRAIN, "--out", str(a)) == 0
+        assert run("train", "--set", "train.batch_size=8", *FAST_TRAIN, "--out", str(b)) == 0
+        assert (a / "runlog.csv").read_bytes() == (b / "runlog.csv").read_bytes()
+
+        capsys.readouterr()
+        cfg_path = _config_file(tmp_path, {"train": {"batch_size": "eight"}})
+        assert run("train", "--config", cfg_path, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "as int" in err and "train.batch_size" in err
+
+    def test_other_json_types_are_normalised_to_the_leaf_type(self, tmp_path):
+        cfg = load_config(_config_file(tmp_path, {"model": {"mlp_ratio": 2, "scaled": 0},
+                                                  "train": {"lr": 1}}), [])
+        assert cfg["model"]["mlp_ratio"] == 2.0 and type(cfg["model"]["mlp_ratio"]) is float
+        assert cfg["model"]["scaled"] is False
+        assert cfg["train"]["lr"] == 1.0 and type(cfg["train"]["lr"]) is float
+
+    def test_non_object_section_exits_2(self, tmp_path, capsys):
+        cfg_path = _config_file(tmp_path, {"train": 5})
+        assert run("train", "--config", cfg_path, "--out", str(tmp_path / "x")) == 2
+        assert "train expects dict, got int" in capsys.readouterr().err
+
+    def test_section_object_through_set_rejects_unknown_keys(self, tmp_path, capsys):
+        rc = run("train", "--set", 'train={"bogus": 1}', "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "train.bogus" in capsys.readouterr().err
+
+    def test_section_object_through_set_keeps_the_other_keys(self):
+        cfg = load_config(None, ['train={"steps": 3}'])
+        assert cfg["train"]["steps"] == 3
+        assert cfg["train"]["batch_size"] == 16
+        assert cfg["train"] == {**load_config(None, [])["train"], "steps": 3}
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = re.search(r"### Config files.*?```json\n(.*?)```", readme, flags=re.S)
+        (tmp_path / "readme.json").write_text(example.group(1))
+        cfg = load_config(str(tmp_path / "readme.json"), [])
+        ModelConfig.from_dict(cfg["model"])
+        TrainConfig(**cfg["train"])
+
+
+class TestIdxPairRule:
+    """An IDX pair loads only with both halves, and a test pair needs a train pair."""
+
+    def test_labels_alone_names_images(self, tmp_path, capsys):
+        _, labels = _write_idx(tmp_path, "train", 8)
+        rc = run("train", "--set", f"data.labels={labels}", *FAST_TRAIN,
+                 "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "data.images is required" in capsys.readouterr().err
+
+    def test_test_labels_alone_names_test_images(self, tmp_path, capsys):
+        _, labels = _write_idx(tmp_path, "test", 8)
+        rc = run("train", "--set", f"data.test_labels={labels}", *FAST_TRAIN,
+                 "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "data.test_images is required" in capsys.readouterr().err
+
+    def test_test_pair_with_synthetic_train_data_exits_2(self, tmp_path, capsys):
+        images, labels = _write_idx(tmp_path, "test", 8)
+        rc = run("train", "--set", f"data.test_images={images}",
+                 "--set", f"data.test_labels={labels}", *FAST_TRAIN,
+                 "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "data.images" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "model.skaf").exists()

@@ -93,6 +93,12 @@ class TestIdxLoader:
         with pytest.raises(DataError, match="truncated"):
             load_idx_images(img_path, lab_path)
 
+    def test_truncated_labels(self, tmp_path):
+        img_path, lab_path = _write_idx_pair(tmp_path, np.zeros((3, 4, 4)), np.zeros(3))
+        lab_path.write_bytes(lab_path.read_bytes()[:-1])
+        with pytest.raises(DataError, match="truncated IDX file .*labs.*expected 3 labels, got 2"):
+            load_idx_images(img_path, lab_path)
+
     def test_count_mismatch(self, tmp_path):
         img_path, _ = _write_idx_pair(tmp_path, np.zeros((3, 4, 4)), np.zeros(3), prefix="a_")
         _, lab_path = _write_idx_pair(tmp_path, np.zeros((2, 4, 4)), np.zeros(2), prefix="b_")
