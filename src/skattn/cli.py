@@ -228,12 +228,12 @@ def cmd_train(args) -> int:
     runlog = out / "runlog.csv"
     runlog.write_text(log.to_csv())
     ckpt = out / "model.skaf"
-    save_checkpoint(model, ckpt, seed=seed, step=log.steps[-1] if log.steps else 0)
+    save_checkpoint(model, ckpt, seed=seed, step=log.steps[-1])
     config_echo = out / "config.json"
     config_echo.write_text(json.dumps(cfg, indent=2) + "\n")
     _write_manifest(out, "train", [runlog, ckpt, config_echo])
     acc = "n/a" if log.final_eval_acc is None else f"{log.final_eval_acc:.4f}"
-    print(f"trained {log.steps[-1] if log.steps else 0} steps: "
+    print(f"trained {log.steps[-1]} steps: "
           f"final loss {log.final_loss:.6g}, eval acc {acc}")
     return 0
 
@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, config=True):
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if config:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
             p.add_argument("--config", default=None, help="JSON config file (model/train/data)")
             p.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
                            help="override a config leaf, e.g. train.steps=10")
@@ -467,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient checks over a mixer grid")
+    # no prefix matching, so --seed cannot pass for --seeds
+    p = sub.add_parser("gradcheck", help="finite-difference gradient checks over a mixer grid",
+                       allow_abbrev=False)
     common(p, config=False)
     p.add_argument("--mixer", choices=KINDS, default=None, help="restrict to one mixer kind")
     p.add_argument("--N", dest="tokens", default="4,16", help="token counts (comma-separated)")
@@ -479,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("count", help="closed-form vs instrumented operation counts")
-    p.add_argument("--seed", type=int, default=0, help="unused; counts are value-independent")
     p.add_argument("--mixer", required=True, choices=KINDS)
     p.add_argument("--N", dest="tokens", type=int, required=True)
     p.add_argument("--D", dest="dim", type=int, required=True)
@@ -506,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", default=None, help="IDX images file for the probe input")
     p.add_argument("--labels", default=None, help="IDX labels file")
     p.add_argument("--index", type=int, default=0, help="which image to probe")
-    p.set_defaults(func=cmd_attnmap, seed=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random probe image (without --images)")
+    p.set_defaults(func=cmd_attnmap)
 
     p = sub.add_parser("sweep", help="train the toy config across head counts")
     common(p)

@@ -31,8 +31,6 @@ _KIND_ALIASES = {
     "cska": "cska",
     "sepconv": "sepconv",
     "dwconv": "sepconv",
-    "dw-conv": "sepconv",
-    "dw_conv": "sepconv",
 }
 
 
@@ -79,7 +77,6 @@ class Mlp(Module):
 class BlockConfig:
     mixer: MixerConfig
     mlp_ratio: float
-    residual_scale: float = 1.0
 
     def __post_init__(self):
         if self.mlp_ratio <= 0:
@@ -92,17 +89,14 @@ class Block(Module):
     def __init__(self, cfg: BlockConfig, rng: Rng):
         super().__init__()
         dim = cfg.mixer.dim
-        self.residual_scale = cfg.residual_scale
         self.norm1 = self.add_module("norm1", LayerNorm(dim))
         self.mixer: TokenMixer = self.add_module("mixer", build_mixer(cfg.mixer, rng.split("mixer")))
         self.norm2 = self.add_module("norm2", LayerNorm(dim))
         self.mlp = self.add_module("mlp", Mlp(dim, int(round(cfg.mlp_ratio * dim)), rng.split("mlp")))
 
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
-        mixed = self.mixer(self.norm1(x), attn_sink)
-        x = x + (mixed if self.residual_scale == 1.0 else T.mul(mixed, self.residual_scale))
-        expanded = self.mlp(self.norm2(x))
-        return x + (expanded if self.residual_scale == 1.0 else T.mul(expanded, self.residual_scale))
+        x = x + self.mixer(self.norm1(x), attn_sink)
+        return x + self.mlp(self.norm2(x))
 
 
 @dataclass
@@ -134,7 +128,6 @@ class ModelConfig:
     num_classes: int
     downsample: list[int] = field(default_factory=list)
     cls_token: bool = MixerConfig.cls_token
-    pos_embed: bool = True
     mlp_ratio: float = 4.0
     activation: str = MixerConfig.activation
     scaled: bool = MixerConfig.scaled
@@ -244,9 +237,7 @@ class Model(Module):
         self.stem_w = self.register("stem_w", Tensor(stem_rng.normal((d0, c, cfg.patch, cfg.patch)) / np.sqrt(fan_in)))
         self.stem_b = self.register("stem_b", Tensor(np.zeros(d0)))
         n0 = grids[0][0] * grids[0][1]
-        self.pos = None
-        if cfg.pos_embed:
-            self.pos = self.register("pos", Tensor(rng.split("pos").normal((1, n0, d0)) * 0.02))
+        self.pos = self.register("pos", Tensor(rng.split("pos").normal((1, n0, d0)) * 0.02))
         self.cls = None
         if cfg.cls_token:
             self.cls = self.register("cls", Tensor(rng.split("cls").normal((1, 1, d0)) * 0.02))
@@ -284,9 +275,7 @@ class Model(Module):
             raise ConfigError(f"expected images [B, {c}, {h}, {w}], got {x.shape}")
         x = T.conv2d_grouped(x, self.stem_w, self.stem_b, stride=self.cfg.patch, padding=0)
         b, d0 = x.shape[0], x.shape[1]
-        tokens = x.reshape(b, d0, x.shape[2] * x.shape[3]).transpose(0, 2, 1)
-        if self.pos is not None:
-            tokens = tokens + self.pos
+        tokens = x.reshape(b, d0, x.shape[2] * x.shape[3]).transpose(0, 2, 1) + self.pos
         if self.cls is not None:
             cls_tok = T.broadcast_to(self.cls, (b, 1, d0))
             tokens = T.concat([cls_tok, tokens], axis=1)
@@ -384,6 +373,11 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
             raise CheckpointError(f"unsupported checkpoint format version {version}")
         cfg_len = struct.unpack("<I", _read(f, 4, "config length"))[0]
         cfg_dict = json.loads(_read(f, cfg_len, "config").decode())
+        # files from before pos_embed was dropped store it; every model has a position embedding
+        pos_embed = cfg_dict.pop("pos_embed", True)
+        if pos_embed is not True:
+            raise CheckpointError(
+                f"checkpoint stores pos_embed={json.dumps(pos_embed)}; only true is supported")
         stored_cfg = ModelConfig.from_dict(cfg_dict)
         if config is not None:
             want, got = config.to_dict(), stored_cfg.to_dict()

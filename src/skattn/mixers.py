@@ -70,7 +70,6 @@ class MixerConfig:
     kernel: int = 3
     dropout: float = 0.0
     key_init: str = "normal"  # "normal" (unit std) or "trunc" (std 0.02, clipped at 2 sigma)
-    allow_token_resize: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -194,8 +193,8 @@ class Attention(TokenMixer):
       in a row by the same amount, so softmax attention is exactly invariant
       to it and the parameter would be inert. Length-flexible.
     * ska: Q @ key^T with a learned ``key`` of shape [heads, N, d_h], so
-      the token count is fixed at build time (N+1 rows with a CLS token);
-      allow_token_resize interpolates it at inference. No key bias.
+      the token count is fixed at build time (N+1 rows with a CLS token) and
+      an input of any other length is a ShapeError. No key bias.
     * cska: the queries laid out as an image [B, D, grid_h, grid_w] go
       through a grouped convolution (``conv_w``/``conv_b``; groups = heads,
       N output channels per group, same-size padding), which yields at every
@@ -241,29 +240,8 @@ class Attention(TokenMixer):
                 self.cls_key = self.register(
                     "cls_key", _key_param(rng.split("cls_key"), (h, 1, dh), cfg.key_init))
 
-    def _key_for(self, n_tokens: int) -> Tensor:
-        expected = self.cfg.total_tokens
-        if n_tokens == expected:
-            return self.key
-        if not self.cfg.allow_token_resize:
-            raise ShapeError(
-                f"ska built for {expected} tokens but input carries {n_tokens}; "
-                "enable allow_token_resize to interpolate the static key")
-        # inference-time linear interpolation along the token axis (untracked)
-        kd = self.key.data
-        old = np.linspace(0.0, 1.0, expected)
-        new = np.linspace(0.0, 1.0, n_tokens)
-        resized = np.empty((kd.shape[0], n_tokens, kd.shape[2]))
-        for h in range(kd.shape[0]):
-            for c in range(kd.shape[2]):
-                resized[h, :, c] = np.interp(new, old, kd[h, :, c])
-        return Tensor(resized)
-
     def _conv_logits(self, q: Tensor) -> Tensor:
         cfg = self.cfg
-        if q.shape[1] != cfg.total_tokens:
-            raise ShapeError(
-                f"cska built for {cfg.total_tokens} tokens but input carries {q.shape[1]}")
         b, h, n = q.shape[0], cfg.heads, cfg.tokens
         gh, gw = cfg.grid
         q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
@@ -282,6 +260,9 @@ class Attention(TokenMixer):
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
         cfg = self.cfg
         h = cfg.heads
+        if cfg.kind != "mhsa" and x.shape[1] != cfg.total_tokens:
+            raise ShapeError(
+                f"{cfg.kind} built for {cfg.total_tokens} tokens but input carries {x.shape[1]}")
         q = T.matmul(x, self.wq)
         v = T.matmul(x, self.wv)
         if self.bq is not None:
@@ -290,7 +271,7 @@ class Attention(TokenMixer):
             k = _split_heads(T.matmul(x, self.wk), h)
             logits = T.matmul(_split_heads(q, h), k.transpose(0, 1, 3, 2))
         elif cfg.kind == "ska":
-            logits = T.matmul(_split_heads(q, h), self._key_for(x.shape[1]).transpose(0, 2, 1))
+            logits = T.matmul(_split_heads(q, h), self.key.transpose(0, 2, 1))
         else:
             logits = self._conv_logits(q)
         v = _split_heads(v, h)

@@ -9,7 +9,6 @@ bit-identical loss series.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +31,8 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 32
     steps: int = 1000
-    epochs: int = 0  # when > 0, overrides steps
     seed: int = 0
     schedule: str = "constant"  # constant | cosine
-    loss: str = "cross_entropy"
     clip_norm: float = 5.0  # 0 disables clipping
     eval_every: int = 0  # 0: evaluate only at the end
     early_stop_acc: float = 0.0  # stop once eval accuracy reaches this (0 disables)
@@ -46,21 +43,20 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 1:
+            raise ConfigError(f"train.steps must be >= 1, got {self.steps}")
         if not 0 <= self.seed < 2 ** 64:  # checkpoints store the seed as a u64
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.optimizer not in ("sgd", "adamw"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.loss != "cross_entropy":
-            raise ConfigError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
 class Dataset:
     images: np.ndarray  # [M, C, H, W] float64
     labels: np.ndarray  # [M] int64
-    split: str = ""
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -80,7 +76,6 @@ class RunLog:
     steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     eval_at: dict[int, float] = field(default_factory=dict)
-    wall_time: float = 0.0
     final_loss: float = float("nan")
     final_eval_acc: float | None = None
 
@@ -128,7 +123,7 @@ def synth_dataset(kind: str, n: int, grid: tuple[int, int] = (8, 8), seed: int =
     else:
         raise ConfigError(
             f"unknown synthetic dataset {kind!r}; valid: stripe_orientation, two_gaussians_patches")
-    return Dataset(images, labels, split=f"{kind}:{seed}")
+    return Dataset(images, labels)
 
 
 def _read_idx(path, expected_magic: int, n_dims: int, unit: str) -> tuple[tuple[int, ...], np.ndarray]:
@@ -163,7 +158,7 @@ def load_idx_images(images_path, labels_path) -> Dataset:
     (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     if label_count != count:
         raise DataError(f"{count} images in {images_path} but {label_count} labels in {labels_path}")
-    return Dataset(images, labels.astype(np.int64), split=str(images_path))
+    return Dataset(images, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -310,25 +305,21 @@ def train(model, dataset: Dataset, cfg: TrainConfig,
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
     m = len(dataset)
-    total_steps = cfg.steps
-    if cfg.epochs > 0:
-        total_steps = cfg.epochs * math.ceil(m / cfg.batch_size)
     order_rng = Rng(cfg.seed).split("order")
     optimizer = build_optimizer(cfg, model.named_parameters())
     log = RunLog()
     model.train(True)
 
-    t0 = time.perf_counter()
     perm = order_rng.permutation(m)
     cursor = 0
     with finite_checks(False):
-        for step_index in range(1, total_steps + 1):
+        for step_index in range(1, cfg.steps + 1):
             if cursor >= m:
                 perm = order_rng.permutation(m)
                 cursor = 0
             idx = perm[cursor:cursor + cfg.batch_size]
             cursor += cfg.batch_size
-            optimizer.lr = _lr_at(cfg, step_index, total_steps)
+            optimizer.lr = _lr_at(cfg, step_index, cfg.steps)
             loss, grad_norm = step(model, dataset.images[idx], dataset.labels[idx],
                                    optimizer, cfg.clip_norm)
             if not math.isfinite(loss):
@@ -344,11 +335,10 @@ def train(model, dataset: Dataset, cfg: TrainConfig,
                 if cfg.early_stop_acc > 0 and acc >= cfg.early_stop_acc:
                     break
 
-    if eval_dataset is not None and log.steps and log.steps[-1] not in log.eval_at:
+    if eval_dataset is not None and log.steps[-1] not in log.eval_at:
         acc, _ = evaluate(model, eval_dataset)
         log.eval_at[log.steps[-1]] = acc
-    log.wall_time = time.perf_counter() - t0
-    log.final_loss = log.losses[-1] if log.losses else float("nan")
+    log.final_loss = log.losses[-1]
     if log.eval_at:
         log.final_eval_acc = log.eval_at[max(log.eval_at)]
     model.eval()

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skattn import (ConfigError, ModelConfig, TrainConfig, build_model, load_checkpoint,
-                    load_idx_images, save_checkpoint)
-from skattn.cli import load_config, main
+from skattn import (BlockConfig, ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
+                    load_checkpoint, load_idx_images, save_checkpoint)
+from skattn.cli import DEFAULT_CONFIG, load_config, main
 from test_train import _write_idx_pair
 
 
@@ -287,6 +287,41 @@ class TestConfigDefaults:
         assert run("train", *FAST_TRAIN, "--seed", "-1", "--out", str(out)) == 2
         assert "seed" in capsys.readouterr().err
         assert not (out / "model.skaf").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_non_positive_steps_exit_2_before_training(self, tmp_path, capsys, steps):
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--set", f"train.steps={steps}", "--out", str(out)) == 2
+        assert "train.steps" in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--mixer", "ska", "--N", "16", "--D", "8", "--seed", "3"],
+        ["gradcheck", "--mixer", "ska", "--N", "4", "--D", "8", "--seed", "5"],
+        ["curves", "--seed", "1"],
+    ], ids=["count", "gradcheck", "curves"])
+    def test_seed_rejected_where_it_would_be_ignored(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
+
+    def test_config_surface(self):
+        """Every settable value; a new knob must show up here as a diff."""
+        mixer = ["kind", "dim", "heads", "tokens", "grid", "activation", "scaled", "qkv_bias",
+                 "cls_token", "kernel", "dropout", "key_init"]
+        model = ["input", "patch", "stages", "num_classes", "downsample", "cls_token",
+                 "mlp_ratio", "activation", "scaled", "qkv_bias", "kernel", "dropout", "key_init"]
+        train = ["optimizer", "lr", "weight_decay", "betas", "momentum", "batch_size", "steps",
+                 "seed", "schedule", "clip_norm", "eval_every", "early_stop_acc"]
+        data = ["kind", "n_train", "n_test", "grid", "seed", "images", "labels",
+                "test_images", "test_labels"]
+        assert [f.name for f in fields(MixerConfig)] == mixer
+        assert [f.name for f in fields(BlockConfig)] == ["mixer", "mlp_ratio"]
+        assert [f.name for f in fields(ModelConfig)] == model
+        assert [f.name for f in fields(TrainConfig)] == train
+        leaves = {f"{section}.{key}" for section, keys in DEFAULT_CONFIG.items() for key in keys}
+        assert leaves == {f"{section}.{key}" for section, keys in
+                          (("model", model), ("train", train), ("data", data)) for key in keys}
 
 
 class TestSetCoercion:

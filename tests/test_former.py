@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -33,12 +34,6 @@ class TestBlock:
                 p.tensor.data[:] = 0.0
         x = Rng(2).normal((2, 16, 8))
         assert np.array_equal(block(Tensor(x)).data, x)  # exact, residuals only
-
-    def test_residual_scale_zero_is_identity(self):
-        cfg = MixerConfig(kind="mhsa", dim=8, heads=2)
-        block = Block(BlockConfig(cfg, mlp_ratio=2.0, residual_scale=0.0), Rng(0))
-        x = Rng(1).normal((2, 6, 8))
-        assert np.array_equal(block(Tensor(x)).data, x)
 
     def test_sepconv_block_grad_check(self):
         cfg = MixerConfig(kind="sepconv", dim=8, heads=1, tokens=9, grid=(3, 3))
@@ -116,7 +111,7 @@ class TestModel:
                         stages=[{"kind": "mhsa", "depth": 1, "dim": 8, "heads": 1}] * 3)
 
     def test_kind_aliases(self):
-        assert canonical_kind("DW-Conv") == "sepconv"
+        assert canonical_kind("DWConv") == "sepconv"
         assert canonical_kind("attn") == "mhsa"
         with pytest.raises(ConfigError):
             canonical_kind("mlp")
@@ -257,6 +252,33 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded, _, _ = load_checkpoint(path, config=toy_model_config())
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
+
+    @staticmethod
+    def _with_pos_embed(blob: bytes, value) -> bytes:
+        """The checkpoint with `pos_embed` put back into its config blob, as
+        files written while ModelConfig had that field carry it."""
+        (cfg_len,) = struct.unpack("<I", blob[8:12])
+        cfg = json.loads(blob[12:12 + cfg_len])
+        assert "pos_embed" not in cfg
+        cfg_blob = json.dumps({**cfg, "pos_embed": value}, sort_keys=True).encode()
+        return blob[:8] + struct.pack("<I", len(cfg_blob)) + cfg_blob + blob[12 + cfg_len:]
+
+    def test_old_file_with_pos_embed_true_loads_bit_exact(self, tmp_path):
+        model = build_model(toy_model_config(kind="cska"), seed=3)
+        x = Rng(4).normal((2, 1, 8, 8))
+        path = tmp_path / "model.skaf"
+        save_checkpoint(model, path, seed=3, step=11)
+        path.write_bytes(self._with_pos_embed(path.read_bytes(), True))
+        loaded, seed, step = load_checkpoint(path)
+        assert (seed, step) == (3, 11)
+        assert np.array_equal(loaded(x).data, model(x).data)
+
+    def test_old_file_with_pos_embed_false_rejected(self, tmp_path):
+        path = tmp_path / "model.skaf"
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        path.write_bytes(self._with_pos_embed(path.read_bytes(), False))
+        with pytest.raises(CheckpointError, match="pos_embed"):
+            load_checkpoint(path)
 
     def test_parameter_listed_twice_rejected(self, tmp_path):
         model = build_model(toy_model_config(), seed=0)

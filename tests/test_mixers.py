@@ -35,11 +35,6 @@ class TestShapeContract:
         with pytest.raises(ShapeError):
             mixer(Tensor(Rng(0).normal((1, 9, 8))))
 
-    def test_ska_token_resize_behind_flag(self):
-        mixer, _ = make("ska", tokens=16, allow_token_resize=True)
-        out = mixer(Tensor(Rng(0).normal((1, 9, 8))))
-        assert out.shape == (1, 9, 8)
-
     def test_mhsa_is_length_flexible(self):
         mixer, _ = make("mhsa")
         for n in (1, 5, 16):

@@ -225,12 +225,6 @@ class TestTrainLoop:
         log2 = train(toy_model(seed=1), ds, cfg)
         assert log1.losses == log2.losses
 
-    def test_epochs_override_steps(self):
-        ds = synth_dataset("stripe_orientation", 32, seed=0)
-        cfg = TrainConfig(steps=999, epochs=2, batch_size=8, seed=0)
-        log = train(toy_model(), ds, cfg)
-        assert log.steps[-1] == 2 * 4
-
     def test_non_finite_loss_aborts_with_diagnostics(self):
         ds = synth_dataset("stripe_orientation", 16, seed=0)
         cfg = TrainConfig(steps=50, batch_size=8, lr=1e18, clip_norm=0.0, seed=0)
@@ -262,6 +256,9 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="lion")
+        for steps in (0, -3):
+            with pytest.raises(ConfigError, match="train.steps"):
+                TrainConfig(steps=steps)
         for seed in (-1, 2 ** 64):
             with pytest.raises(ConfigError, match="seed"):
                 TrainConfig(seed=seed)
