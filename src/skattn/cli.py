@@ -116,7 +116,8 @@ def _as_text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
-def load_config(path: str | None, sets: list[str] | None) -> dict:
+def load_config(path: str | None, sets: list[str] | None, seed: int | None = None) -> dict:
+    """Defaults, then the file at `path`, then `sets`; `seed` sets train.seed and data.seed."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         p = Path(path)
@@ -136,6 +137,8 @@ def load_config(path: str | None, sets: list[str] | None) -> dict:
             raise ConfigError(f"--set expects dotted.path=value, got {assignment!r}")
         dotted, raw = assignment.split("=", 1)
         _assign(config, dotted.strip(), raw)
+    if seed is not None:
+        config["train"]["seed"] = config["data"]["seed"] = seed
     return config
 
 
@@ -217,10 +220,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-        cfg["data"]["seed"] = args.seed
+    cfg = load_config(args.config, args.set, args.seed)
     seed = cfg["train"]["seed"]
     model, log, _, _ = _train_cell(cfg, seed)
 
@@ -385,15 +385,14 @@ def _train_cell(cell: dict, seed: int):
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.set)
-    base_seed = args.seed if args.seed is not None else cfg["train"]["seed"]
+    cfg = load_config(args.config, args.set, args.seed)
     heads = _parse_int_list(args.heads, "--heads")
     rows = []
     for i, h in enumerate(heads):
         cell = copy.deepcopy(cfg)
         for stage in cell["model"]["stages"]:
             stage["heads"] = h
-        cell_seed = base_seed + i
+        cell_seed = cfg["train"]["seed"] + i
         model, _, acc, _ = _train_cell(cell, cell_seed)
         _, params = count_parameters(model)
         flops = _model_forward_macs(model)
@@ -416,8 +415,7 @@ def _max_row_sum_deviation(model, images: np.ndarray) -> float:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config, args.set)
-    base_seed = args.seed if args.seed is not None else cfg["train"]["seed"]
+    cfg = load_config(args.config, args.set, args.seed)
     acts = [a.strip() for a in args.activations.split(",") if a.strip()]
     unknown = [a for a in acts if a not in ACTIVATIONS]
     if unknown:
@@ -432,7 +430,7 @@ def cmd_ablate(args) -> int:
         if args.mixer:
             for stage in cell["model"]["stages"]:
                 stage["kind"] = args.mixer
-        cell_seed = base_seed + i
+        cell_seed = cfg["train"]["seed"] + i
         model, _, acc, probe = _train_cell(cell, cell_seed)
         row_dev = _max_row_sum_deviation(model, probe)
         normalized = act == "softmax"
@@ -458,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         p.add_argument("--out", default="out", help="output directory (default: out)")
         if config:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--seed", type=int, default=None, help="override train.seed and data.seed")
             p.add_argument("--config", default=None, help="JSON config file (model/train/data)")
             p.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
                            help="override a config leaf, e.g. train.steps=10")

@@ -195,10 +195,13 @@ class Attention(TokenMixer):
     * ska: Q @ key^T with a learned ``key`` of shape [heads, N, d_h], so
       the token count is fixed at build time (N+1 rows with a CLS token) and
       an input of any other length is a ShapeError. No key bias.
-    * cska: the queries laid out as an image [B, D, grid_h, grid_w] go
-      through a grouped convolution (``conv_w``/``conv_b``; groups = heads,
-      N output channels per group, same-size padding), which yields at every
-      query position one logit per key position. With a CLS token every
+    * cska: a grouped convolution of the queries laid out as an image
+      [B, D, grid_h, grid_w] (``conv_w``/``conv_b``; groups = heads, N output
+      channels per group, same-size padding) gives every query position one
+      logit per key position. Like ska's, it is one matmul: the unfolded
+      query windows [B, H, Nq, d_h*k*k] times the kernels as [H, d_h*k*k, Nk],
+      so at kernel 1 it is ska with key[h, j] = conv_w[h*N + j, :, 0, 0] (the
+      weight transport). With a CLS token every
       query gains one extra key column from a learned per-head
       ``cls_key`` dotted with its query, and the CLS query's spatial-key
       row is zero (it has no spatial position).
@@ -243,13 +246,13 @@ class Attention(TokenMixer):
     def _conv_logits(self, q: Tensor) -> Tensor:
         cfg = self.cfg
         b, h, n = q.shape[0], cfg.heads, cfg.tokens
-        gh, gw = cfg.grid
         q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
-        q_img = q_spatial.transpose(0, 2, 1).reshape(b, cfg.dim, gh, gw)
-        logit_img = T.conv2d_grouped(q_img, self.conv_w, self.conv_b,
-                                     stride=1, padding=(cfg.kernel - 1) // 2, groups=h)
-        # channel block h holds the N key logits of every query position in head h
-        spatial = logit_img.reshape(b, h, n, gh * gw).transpose(0, 1, 3, 2)  # [B, H, Nq, Nk]
+        q_img = q_spatial.transpose(0, 2, 1).reshape(b, cfg.dim, *cfg.grid)
+        windows = T.unfold(q_img, cfg.kernel, padding=(cfg.kernel - 1) // 2, groups=h)
+        kernels = self.conv_w.reshape(h, n, -1).transpose(0, 2, 1)              # [H, d_h*k*k, Nk]
+        spatial = T.matmul(windows.transpose(0, 1, 3, 2), kernels)              # [B, H, Nq, Nk]
+        if self.conv_b is not None:
+            spatial = spatial + self.conv_b.reshape(h, 1, n)
         if not cfg.cls_token:
             return spatial
         cls_col = T.matmul(_split_heads(q, h), self.cls_key.transpose(0, 2, 1))  # [B, H, N+1, 1]

@@ -3,9 +3,9 @@
 Every operation here is a pure function from input tensors to a fresh output
 tensor. When a `Tape` is active the operation also records a backward rule,
 so reverse-mode differentiation (see `autodiff`) can replay the tape. MACs
-(multiply-accumulates) of matmul/conv, and of the weights-times-values
-product of the fused `attention` entry, are tallied into any active
-`MacCounter`; everything else counts as zero.
+(multiply-accumulates) are tallied into any active `MacCounter` by `matmul`
+(a convolution is `unfold` + `matmul`) and by the weights-times-values
+product of the fused `attention` entry; everything else counts as zero.
 
 All storage is row-major contiguous float64. Broadcasting follows numpy
 semantics; gradients are reduced back onto the operand shapes.
@@ -127,7 +127,7 @@ class Tape:
 
 
 class MacCounter:
-    """Accumulates multiply-accumulate counts of matmul/conv while active."""
+    """Accumulates the multiply-accumulates of matmul and attention while active."""
 
     def __init__(self):
         self.macs = 0
@@ -381,77 +381,72 @@ def matmul(a, b) -> Tensor:
     return _make(out, "matmul", (a, b), bwd)
 
 
+def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+    """The k x k windows of a zero-padded [B, C, H, W] image as matmul columns
+    [B, G, C/G*k*k, H'*W'], H' = (H + 2*padding - k) // stride + 1 (im2col:
+    Chellapilla, Puri & Simard, IWFHR 2006). Per group, column p is the window
+    at output position p and row (c, i, j) is channel c at kernel offset
+    (i, j). Backward is the scatter-add. Counts no MACs.
+    """
+    xd = _data(x)
+    if xd.ndim != 4:
+        raise ShapeError(f"unfold: input must be [B, C, H, W], got {xd.shape}")
+    B, C, H, W = xd.shape
+    if C % groups:
+        raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
+    ho = (H + 2 * padding - k) // stride + 1
+    wo = (W + 2 * padding - k) // stride + 1
+    if ho <= 0 or wo <= 0:
+        raise ShapeError(f"unfold: kernel {k} too large for input {H}x{W} with padding {padding}")
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xg = xp.reshape(B, groups, C // groups, xp.shape[2], xp.shape[3])
+    cols = np.empty((B, groups, C // groups, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, :, i, j] = xg[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+    def bwd(g):
+        g6 = g.reshape(cols.shape)
+        gxp = np.zeros_like(xg)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
+        gx = gxp.reshape(xp.shape)[:, :, padding:padding + H, padding:padding + W]
+        return (np.ascontiguousarray(gx),)
+
+    with finite_checks(False):  # copies of x's entries and zeros: nothing new to check
+        return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
+
+
 def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 2D convolution with zero padding.
 
     x: [B, C_in, H, W]; weight: [C_out, C_in/groups, k, k]; bias: [C_out].
     Output [B, C_out, H', W'] with H' = (H + 2*padding - k) // stride + 1.
-    Each output group reads only its own input group. Counts
-    out_elems * (C_in/groups) * k^2 MACs.
+    Each output group reads only its own input group. It is `unfold`, then
+    one `matmul` of the weight as [G, C_out/G, C_in/G*k*k] with the columns
+    (out_elems * (C_in/groups) * k^2 MACs), a reshape and the bias `add`.
     """
     xd, wd = _data(x), _data(weight)
     if xd.ndim != 4:
         raise ShapeError(f"conv2d: input must be [B, C, H, W], got {xd.shape}")
     if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
         raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k], got {wd.shape}")
-    B, cin, H, W = xd.shape
+    B, cin, H, _ = xd.shape
     cout, cg, k, _ = wd.shape
     if cin % groups or cout % groups:
         raise ShapeError(f"conv2d: channels ({cin} in, {cout} out) not divisible by groups={groups}")
     if cg != cin // groups:
         raise ShapeError(f"conv2d: weight expects {cg} channels/group but input provides {cin // groups}")
-    ho = (H + 2 * padding - k) // stride + 1
-    wo = (W + 2 * padding - k) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv2d: kernel {k} too large for input {H}x{W} with padding {padding}")
-    cog = cout // groups
-
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    xg = xp.reshape(B, groups, cg, xp.shape[2], xp.shape[3])
-    cols = np.empty((B, groups, cg, k, k, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i, j] = xg[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    cols2 = cols.reshape(B, groups, cg * k * k, ho * wo)
-    w2 = wd.reshape(groups, cog, cg * k * k)
-    out = np.matmul(w2, cols2).reshape(B, cout, ho, wo)
-    _add_macs(B * cout * ho * wo * cg * k * k)
-
-    bd = None
+    if bias is not None and _data(bias).shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {_data(bias).shape} != ({cout},)")
+    cols = unfold(x, k, stride=stride, padding=padding, groups=groups)
+    out = matmul(reshape(weight, (groups, cout // groups, cg * k * k)), cols)
+    out = reshape(out, (B, cout, (H + 2 * padding - k) // stride + 1, -1))
     if bias is not None:
-        bd = _data(bias)
-        if bd.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {bd.shape} != ({cout},)")
-        out = out + bd[:, None, None]
-
-    def bwd(g):
-        g4 = g.reshape(B, groups, cog, ho * wo)
-        # the weight gradient first, so that its [B, G, C_out/G, C_in/G*k*k]
-        # product is freed before the input gradient's buffers are allocated
-        gw = None
-        if isinstance(weight, Tensor):
-            gw = np.matmul(g4, np.swapaxes(cols2, -1, -2)).sum(axis=0).reshape(wd.shape)
-        grads = []
-        if isinstance(x, Tensor):
-            gcols = np.matmul(np.swapaxes(w2, -1, -2)[None], g4)
-            gc6 = gcols.reshape(B, groups, cg, k, k, ho, wo)
-            gxp = np.zeros_like(xg)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gc6[:, :, :, i, j]
-            gxp = gxp.reshape(xp.shape)
-            if padding:
-                gxp = gxp[:, :, padding:-padding, padding:-padding]
-            grads.append(np.ascontiguousarray(gxp))
-        if gw is not None:
-            grads.append(gw)
-        if isinstance(bias, Tensor):
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, "conv2d", inputs, bwd)
+        out = add(out, reshape(bias, (cout, 1, 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------

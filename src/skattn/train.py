@@ -45,6 +45,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 1:
             raise ConfigError(f"train.steps must be >= 1, got {self.steps}")
+        for key in ("eval_every", "clip_norm", "early_stop_acc"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"train.{key} must be >= 0 (0 turns it off), got {getattr(self, key)}")
         if not 0 <= self.seed < 2 ** 64:  # checkpoints store the seed as a u64
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.optimizer not in ("sgd", "adamw"):

@@ -67,26 +67,34 @@ def naive_mhsa(x, wq, wk, wv, wo, heads, scaled=True):
     return out
 
 
-def naive_cska(x, wq, wv, wo, conv_w, heads, grid, kernel, scaled=True):
-    """Bias-free conv static key attention with explicit padded window sums."""
-    bsz, n, d = x.shape
+def naive_cska(x, wq, wv, wo, conv_w, heads, grid, kernel, scaled=True, cls_key=None):
+    """Bias-free conv static key attention with explicit padded window sums.
+
+    With `cls_key` ([heads, 1, d_h]) token 0 of `x` is a CLS token: every
+    query, the CLS one included, gets a first key column holding its dot
+    product with the head's cls_key, and the CLS query's spatial-key logits
+    are zero.
+    """
+    bsz, total, d = x.shape
+    off = 0 if cls_key is None else 1  # index of the first spatial token
+    n = total - off
     gh, gw = grid
     dh = d // heads
     pad = (kernel - 1) // 2
-    out = np.zeros((bsz, n, d))
+    out = np.zeros((bsz, total, d))
     for b in range(bsz):
-        q = x[b] @ wq   # [N, D]
+        q = x[b] @ wq   # [N(+1), D]
         v = x[b] @ wv
-        # query feature map: channel c at (y, x) is q[y*gw + x, c]
+        # query feature map: channel c at (y, x) is q[off + y*gw + x, c]
         qmap = np.zeros((d, gh + 2 * pad, gw + 2 * pad))
         for t in range(n):
             y, xx = divmod(t, gw)
             for c in range(d):
-                qmap[c, y + pad, xx + pad] = q[t, c]
-        merged = np.zeros((n, d))
+                qmap[c, y + pad, xx + pad] = q[off + t, c]
+        merged = np.zeros((total, d))
         for h in range(heads):
             vh = v[:, h * dh:(h + 1) * dh]
-            logits = np.zeros((n, n))  # [query, key]
+            logits = np.zeros((total, total))  # [query, key]
             for key in range(n):
                 co = h * n + key
                 for qy in range(gh):
@@ -97,13 +105,16 @@ def naive_cska(x, wq, wv, wo, conv_w, heads, grid, kernel, scaled=True):
                                 for kx in range(kernel):
                                     acc += (conv_w[co, c, ky, kx]
                                             * qmap[h * dh + c, qy + ky, qx + kx])
-                        logits[qy * gw + qx, key] = acc
+                        logits[off + qy * gw + qx, off + key] = acc
+            if cls_key is not None:
+                for i in range(total):
+                    logits[i, 0] = sum(q[i, h * dh + e] * cls_key[h, 0, e] for e in range(dh))
             if scaled:
                 logits = logits / math.sqrt(dh)
-            for i in range(n):
+            for i in range(total):
                 weights = _row_softmax(list(logits[i]))
                 acc = np.zeros(dh)
-                for j in range(n):
+                for j in range(total):
                     acc += weights[j] * vh[j]
                 merged[i, h * dh:(h + 1) * dh] = acc
         out[b] = merged @ wo

@@ -205,6 +205,16 @@ class TestSweepCommand:
         assert len(params) == 1 and len(flops) == 1
         assert seeds == [0, 1, 2]
 
+    def test_seed_means_what_it_means_for_train(self, tmp_path, capsys):
+        # --seed sets the data seed as well as the training seed, so the
+        # first sweep cell (seed + 0) is the same run as `train --seed`
+        assert run("train", *FAST_TRAIN, "--seed", "3", "--out", str(tmp_path / "t")) == 0
+        train_acc = re.search(r"eval acc (\S+)", capsys.readouterr().out).group(1)
+        assert run("sweep", "--heads", "4", *FAST_TRAIN, "--seed", "3",
+                   "--out", str(tmp_path / "sw")) == 0
+        row = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()[1].split(",")
+        assert (row[1], row[4]) == (train_acc, "3")
+
     def test_indivisible_heads_exit_2(self, tmp_path, capsys):
         rc = run("sweep", "--heads", "3", *FAST_TRAIN, "--out", str(tmp_path / "sw"))
         assert rc == 2
@@ -293,6 +303,16 @@ class TestConfigDefaults:
         out = tmp_path / "x"
         assert run("train", *FAST_TRAIN, "--set", f"train.steps={steps}", "--out", str(out)) == 2
         assert "train.steps" in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
+    @pytest.mark.parametrize("key", ["eval_every", "clip_norm", "early_stop_acc"])
+    def test_negative_switch_rejected_naming_the_key(self, tmp_path, capsys, key):
+        with pytest.raises(ConfigError, match=f"train.{key}"):
+            TrainConfig(**{key: -1})
+        TrainConfig(**{key: 0})  # 0 stays "off"
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--set", f"train.{key}=-1", "--out", str(out)) == 2
+        assert f"train.{key}" in capsys.readouterr().err
         assert not (out / "model.skaf").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MixerConfi
                     Module, Rng, Tensor, attention_trace, build_model, canonical_kind,
                     count_parameters, grad_check, load_checkpoint, ModelConfig,
                     save_checkpoint)
+from oracles import brute_conv2d
 
 
 def toy_model_config(kind="ska", **kw):
@@ -58,6 +59,29 @@ class TestModel:
         model = build_model(cfg, seed=0)
         logits = model(Rng(1).normal((2, 3, 32, 32)))
         assert logits.shape == (2, 10)
+
+    def test_stem_and_downsample_match_brute_force_conv(self):
+        cfg = ModelConfig(input=(3, 8, 12), patch=2, num_classes=2,
+                          stages=[{"kind": "mhsa", "depth": 1, "dim": 4, "heads": 1},
+                                  {"kind": "mhsa", "depth": 1, "dim": 6, "heads": 2}])
+        model = build_model(cfg, seed=3)
+        down = model.downsamples[0]
+        model.stem_b.data = Rng(4).normal((4,))
+        down.b.data = Rng(5).normal((6,))
+        images = Rng(6).normal((2, 3, 8, 12))
+
+        def rel_err(got, want):
+            return np.abs(got - want).max() / np.abs(want).max()
+
+        want = brute_conv2d(images, model.stem_w.data, model.stem_b.data, stride=2)
+        got = model.embed(images).data - model.pos.data
+        assert rel_err(got, want.reshape(2, 4, 24).transpose(0, 2, 1)) <= 1e-12
+
+        tokens = Rng(7).normal((2, 24, 4))
+        want = brute_conv2d(tokens.transpose(0, 2, 1).reshape(2, 4, 4, 6),
+                            down.w.data, down.b.data, stride=2)
+        got = down(Tensor(tokens), (4, 6)).data
+        assert rel_err(got, want.reshape(2, 6, 6).transpose(0, 2, 1)) <= 1e-12
 
     def test_same_seed_identical_logits(self):
         cfg = toy_model_config()

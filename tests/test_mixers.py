@@ -155,6 +155,16 @@ class TestCska:
         got = mixer(Tensor(x)).data
         assert np.abs(got - want).max() < 1e-10
 
+    def test_cls_path_matches_brute_force(self):
+        mixer, _ = make("cska", dim=6, heads=3, tokens=12, grid=(3, 4), seed=4,
+                        qkv_bias=False, cls_token=True)
+        x = Rng(5).normal((2, 13, 6))
+        want = naive_cska(x, mixer.wq.data, mixer.wv.data, mixer.wo.data,
+                          mixer.conv_w.data, heads=3, grid=(3, 4), kernel=3,
+                          cls_key=mixer.cls_key.data)
+        got = mixer(Tensor(x)).data
+        assert np.abs(got - want).max() < 1e-10
+
     def test_not_permutation_equivariant(self):
         mixer, _ = make("cska", seed=0)
         x = Rng(0).normal((1, 16, 8))

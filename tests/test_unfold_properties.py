@@ -1,0 +1,82 @@
+"""Property tests of `unfold` and the convolution built on it, over random
+shapes drawn by hypothesis (derandomized, so every run draws the same
+examples)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from skattn import MacCounter, Rng, ShapeError, Tape, Tensor, backward, conv2d_grouped
+from skattn.tensor import unfold
+from oracles import brute_conv2d
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
+
+
+@st.composite
+def conv_shapes(draw):
+    """(B, C, G, C_out, H, W, k, stride, padding) of a valid grouped conv."""
+    groups = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    padding = draw(st.integers(0, 2))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    assume(h + 2 * padding >= k and w + 2 * padding >= k)
+    return (draw(st.integers(1, 2)), groups * draw(st.integers(1, 3)), groups,
+            groups * draw(st.integers(1, 3)), h, w, k, draw(st.integers(1, 3)), padding)
+
+
+def _arrays(shape, seed):
+    b, c, g, cout, h, w, k, _, _ = shape
+    rng = Rng(seed)
+    return rng.normal((b, c, h, w)), rng.normal((cout, c // g, k, k)), rng.normal((cout,))
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(0, 2 ** 32))
+def test_unfold_backward_is_the_adjoint(shape, seed):
+    # <unfold(x), y> = <x, unfold^T(y)>, with unfold^T the taped backward
+    b, c, g, _, h, w, k, stride, padding = shape
+    x = Tensor(_arrays(shape, seed)[0])
+    with Tape() as tape:
+        cols = unfold(x, k, stride=stride, padding=padding, groups=g)
+        y = Rng(seed + 1).normal(cols.shape)
+        loss = (cols * y).sum()
+    backward(tape, loss)
+    lhs = float((cols.data * y).sum())
+    rhs = float((x.data * x.grad).sum())
+    assert abs(lhs - rhs) <= 1e-12 * float(np.abs(cols.data * y).sum())
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(0, 2 ** 32))
+def test_conv_matches_brute_force_and_counts_its_macs(shape, seed):
+    b, c, g, cout, h, w, k, stride, padding = shape
+    x, wt, bias = _arrays(shape, seed)
+    with MacCounter() as counter:
+        got = conv2d_grouped(Tensor(x), Tensor(wt), Tensor(bias),
+                             stride=stride, padding=padding, groups=g).data
+    want = brute_conv2d(x, wt, bias, stride=stride, padding=padding, groups=g)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    _, _, ho, wo = want.shape
+    assert counter.macs == b * cout * ho * wo * (c // g) * k * k
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(0, 2 ** 32), st.sampled_from(["rank", "groups", "kernel"]))
+def test_shape_errors(shape, seed, fault):
+    b, c, g, cout, h, w, k, stride, padding = shape
+    x, wt, _ = _arrays(shape, seed)
+    if fault == "rank":
+        x = x[0]
+    elif fault == "groups":
+        g = c + 1
+    else:
+        k = max(h, w) + 2 * padding + 1
+        wt = np.zeros((cout, c // g, k, k))
+    with pytest.raises(ShapeError):
+        unfold(Tensor(x), k, stride=stride, padding=padding, groups=g)
+    with pytest.raises(ShapeError):
+        conv2d_grouped(Tensor(x), Tensor(wt), stride=stride, padding=padding, groups=g)
