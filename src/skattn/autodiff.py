@@ -75,8 +75,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Seeds the loss gradient with 1.0 and accumulates by summation at
     fan-out. Every tensor that received a gradient also has its `.grad`
-    slot set. Raises if the loss is not a scalar or was not produced on
-    this tape.
+    slot set; it may be a read-only view, since no backward rule writes into
+    the gradient it is given. Raises if the loss is not a scalar or was not
+    produced on this tape.
     """
     if loss.size != 1:
         raise AutodiffError(f"loss must be scalar, got shape {loss.shape}")
@@ -139,6 +140,8 @@ def grad_check(f: Callable[[], Tensor], params: list[Parameter], *,
     results = []
     for p in params:
         analytic = grads.get(p.tensor)
+        # perturb an owned C-contiguous copy: reshape(-1) of a strided view copies
+        p.tensor.data = np.array(p.tensor.data, order="C")
         flat = p.tensor.data.reshape(-1)
         ana_flat = None if analytic is None else analytic.reshape(-1)
         n = flat.size

@@ -12,9 +12,11 @@ parameters bit-exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -362,9 +364,11 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
     """Rebuild a model from a checkpoint file.
 
     When `config` is given, it must match the stored one; differing fields
-    are listed in the error. Returns (model, rng_seed, step).
+    are listed in the error. Returns (model, rng_seed, step). Any malformed
+    file raises CheckpointError.
     """
-    with open(path, "rb") as f:
+    # read from memory, so a corrupt length field cannot ask for gigabytes
+    with io.BytesIO(Path(path).read_bytes()) as f:
         magic = _read(f, 4, "magic")
         if magic != _MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}, expected {_MAGIC!r}")
@@ -372,13 +376,18 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint format version {version}")
         cfg_len = struct.unpack("<I", _read(f, 4, "config length"))[0]
-        cfg_dict = json.loads(_read(f, cfg_len, "config").decode())
-        # files from before pos_embed was dropped store it; every model has a position embedding
-        pos_embed = cfg_dict.pop("pos_embed", True)
-        if pos_embed is not True:
-            raise CheckpointError(
-                f"checkpoint stores pos_embed={json.dumps(pos_embed)}; only true is supported")
-        stored_cfg = ModelConfig.from_dict(cfg_dict)
+        cfg_blob = _read(f, cfg_len, "config")
+        try:
+            cfg_dict = json.loads(cfg_blob.decode())
+            # files from before pos_embed was dropped store it; every model has a position embedding
+            pos_embed = cfg_dict.pop("pos_embed", True)
+            if pos_embed is not True:
+                raise CheckpointError(
+                    f"checkpoint stores pos_embed={json.dumps(pos_embed)}; only true is supported")
+            stored_cfg = ModelConfig.from_dict(cfg_dict)
+            model = build_model(stored_cfg, seed=0)
+        except (ConfigError, TypeError, ValueError, AttributeError) as e:
+            raise CheckpointError(f"checkpoint config is invalid: {e}") from None
         if config is not None:
             want, got = config.to_dict(), stored_cfg.to_dict()
             diff = [k for k in want if want[k] != got[k]]
@@ -388,7 +397,6 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
         seed, step = struct.unpack("<QQ", _read(f, 16, "seed/step"))
         n_params = struct.unpack("<I", _read(f, 4, "parameter count"))[0]
 
-        model = build_model(stored_cfg, seed=0)
         table = {p.name: p.tensor for p in model.named_parameters()}
         if n_params != len(table):
             raise CheckpointError(
@@ -396,7 +404,7 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
         seen = set()
         for _ in range(n_params):
             name_len = struct.unpack("<H", _read(f, 2, "name length"))[0]
-            name = _read(f, name_len, "name").decode()
+            name = _read(f, name_len, "name").decode(errors="backslashreplace")
             if name not in table:
                 raise CheckpointError(f"checkpoint parameter {name!r} not present in model")
             if name in seen:

@@ -1,14 +1,15 @@
 """Dense float64 tensors, taped primitives, and a deterministic RNG.
 
-Every operation here is a pure function from input tensors to a fresh output
+Every operation here is a pure function from input tensors to an output
 tensor. When a `Tape` is active the operation also records a backward rule,
 so reverse-mode differentiation (see `autodiff`) can replay the tape. MACs
 (multiply-accumulates) are tallied into any active `MacCounter` by `matmul`
 (a convolution is `unfold` + `matmul`) and by the weights-times-values
 product of the fused `attention` entry; everything else counts as zero.
 
-All storage is row-major contiguous float64. Broadcasting follows numpy
-semantics; gradients are reduced back onto the operand shapes.
+Ops that only move values (`_MOVE_OPS`) may return numpy's strided or
+read-only views, and no op writes into its inputs. Broadcasting follows
+numpy semantics; gradients are reduced back onto the operand shapes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Tensor:
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
 
     @property
@@ -167,8 +168,12 @@ def _data(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+# ops that only move values create no non-finite value, so their outputs are not scanned
+_MOVE_OPS = frozenset({"reshape", "transpose", "concat", "slice", "broadcast", "unfold", "gather_last"})
+
+
 def _make(out_data: np.ndarray, op: str, inputs: tuple, backward) -> Tensor:
-    if _FINITE_CHECKS[0] and not np.all(np.isfinite(out_data)):
+    if _FINITE_CHECKS[0] and op not in _MOVE_OPS and not np.all(np.isfinite(out_data)):
         raise NumericsError(f"non-finite values produced by '{op}'")
     out = Tensor(out_data)
     tensors = tuple(t for t in inputs if isinstance(t, Tensor))
@@ -252,9 +257,9 @@ def reduce_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, xd.shape).copy(),)
+            return (np.broadcast_to(g, xd.shape),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, xd.shape).copy(),)
+        return (np.broadcast_to(g_exp, xd.shape),)
 
     return _make(out, "sum", (x,), bwd)
 
@@ -266,9 +271,9 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g / count, xd.shape).copy(),)
+            return (np.broadcast_to(g / count, xd.shape),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp / count, xd.shape).copy(),)
+        return (np.broadcast_to(g_exp / count, xd.shape),)
 
     return _make(out, "mean", (x,), bwd)
 
@@ -323,7 +328,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = [slice(None)] * xd.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
-    out = xd[index].copy()
+    out = xd[index]
 
     def bwd(g):
         gx = np.zeros_like(xd)
@@ -337,7 +342,7 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     xd = _data(x)
     shape = tuple(shape)
     try:
-        out = np.broadcast_to(xd, shape).copy()
+        out = np.broadcast_to(xd, shape)
     except ValueError:
         raise ShapeError(f"broadcast: cannot expand {xd.shape} to {shape}") from None
 
@@ -411,11 +416,9 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         for i in range(k):
             for j in range(k):
                 gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
-        gx = gxp.reshape(xp.shape)[:, :, padding:padding + H, padding:padding + W]
-        return (np.ascontiguousarray(gx),)
+        return (gxp.reshape(xp.shape)[:, :, padding:padding + H, padding:padding + W],)
 
-    with finite_checks(False):  # copies of x's entries and zeros: nothing new to check
-        return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
+    return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
 
 
 def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,

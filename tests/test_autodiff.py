@@ -133,6 +133,19 @@ class TestGradCheck:
         rows = grad_check(f, mixer.named_parameters(), tolerance=1e-5)
         assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
 
+    def test_strided_parameter(self):
+        # the data is a transposed view; perturbing it through reshape(-1)
+        # would move a copy and leave the loss unchanged
+        w = Tensor(Rng(10).normal((3, 4)).T)
+        x = Rng(11).normal((3, 5))
+
+        def f():
+            out = matmul(w, x)
+            return (out * out).sum()
+
+        rows = grad_check(f, [Parameter("w", w)], tolerance=1e-7)
+        assert rows[0].passed, rows[0].max_rel_error
+
     def test_subsampling_is_deterministic_and_bounded(self):
         w = Tensor(Rng(9).normal((40, 40)))  # 1600 coords, sub-sampled
 

@@ -8,6 +8,7 @@ import pytest
 
 from skattn import (BlockConfig, ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
                     load_checkpoint, load_idx_images, save_checkpoint)
+from skattn import cli
 from skattn.cli import DEFAULT_CONFIG, load_config, main
 from test_train import _write_idx_pair
 
@@ -88,10 +89,20 @@ class TestGradcheckCommand:
         assert rows[0] == "mixer,N,D,heads,seed,param,max_rel_error,status"
         assert all(r.endswith("PASS") for r in rows[1:])
 
-    def test_corrupted_backward_detected(self, tmp_path, capsys):
+    def test_corrupted_backward_detected(self, tmp_path, monkeypatch):
+        real = cli.grad_check
+
+        def corrupted(f, params, **kwargs):
+            def leaky():
+                # detached term: visible to finite differences, invisible to the tape
+                leak = sum(float(np.sin(p.tensor.data).sum()) for p in params)
+                return f() + 0.01 * leak
+            return real(leaky, params, **kwargs)
+
+        monkeypatch.setattr(cli, "grad_check", corrupted)
         out = tmp_path / "gc"
         rc = run("gradcheck", "--mixer", "ska", "--N", "4", "--D", "8",
-                 "--heads", "2", "--seeds", "0", "--corrupt-backward", "--out", str(out))
+                 "--heads", "2", "--seeds", "0", "--out", str(out))
         assert rc == 1
         rows = (out / "gradcheck.csv").read_text().strip().splitlines()
         assert any(r.endswith("FAIL") for r in rows[1:])
@@ -170,6 +181,13 @@ class TestAttnmapCommand:
         assert not list(out.glob("*.pgm"))
         notes = json.loads((out / "manifest.json").read_text())["notes"]
         assert any("sepconv" in n for n in notes)
+
+    def test_malformed_checkpoint_exits_2(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"heads": 2', b'"heads": "x"'))
+        assert run("attnmap", "--checkpoint", str(path), "--out", str(tmp_path / "m")) == 2
+        assert "checkpoint config is invalid" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert run("attnmap", "--checkpoint", str(tmp_path / "nope.skaf"),
@@ -272,6 +290,23 @@ class TestIdxData:
         assert run("attnmap", "--checkpoint", ckpt, "--images", test_images,
                    "--labels", test_labels, "--index", "8", "--out", str(maps)) == 2
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_beyond_num_classes_exits_2(self, tmp_path, capsys, split):
+        rng = np.random.default_rng(0)
+        pairs = {name: _write_idx_pair(tmp_path, rng.integers(0, 256, size=(8, 8, 8)),
+                                       np.array([0, 1] * 3 + [5 if name == split else 1, 0]),
+                                       prefix=name)
+                 for name in ("train", "test")}
+        out = tmp_path / "x"
+        rc = run("train", "--set", f"data.images={pairs['train'][0]}",
+                 "--set", f"data.labels={pairs['train'][1]}",
+                 "--set", f"data.test_images={pairs['test'][0]}",
+                 "--set", f"data.test_labels={pairs['test'][1]}",
+                 "--set", "train.steps=1", "--out", str(out))
+        assert rc == 2
+        assert f"{split} set holds label 5, but model.num_classes is 2" in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
     def test_test_images_without_test_labels_exits_2(self, tmp_path, capsys):
         images, labels = _write_idx(tmp_path, "train", 8)
         rc = run("train", "--set", f"data.images={images}", "--set", f"data.labels={labels}",
@@ -285,7 +320,7 @@ class TestConfigDefaults:
         cfg = load_config(None, [])
         assert list(cfg["model"]) == [f.name for f in fields(ModelConfig)]
         assert list(cfg["train"]) == [f.name for f in fields(TrainConfig)]
-        assert len(cfg["data"]) == 9
+        assert len(cfg["data"]) == 8
         assert json.loads(json.dumps(cfg)) == cfg  # no tuples: lists all the way down
         # the toy overrides of the dataclass defaults
         assert (cfg["model"]["mlp_ratio"], cfg["train"]["batch_size"],
@@ -325,6 +360,12 @@ class TestConfigDefaults:
             run(*argv)
         assert err.value.code == 2
 
+    def test_synthetic_images_take_the_model_input_size(self, tmp_path):
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--set", "model.input=[1, 6, 6]", "--out", str(out)) == 0
+        model, _, _ = load_checkpoint(out / "model.skaf")
+        assert model.cfg.input == (1, 6, 6)
+
     def test_config_surface(self):
         """Every settable value; a new knob must show up here as a diff."""
         mixer = ["kind", "dim", "heads", "tokens", "grid", "activation", "scaled", "qkv_bias",
@@ -333,8 +374,8 @@ class TestConfigDefaults:
                  "mlp_ratio", "activation", "scaled", "qkv_bias", "kernel", "dropout", "key_init"]
         train = ["optimizer", "lr", "weight_decay", "betas", "momentum", "batch_size", "steps",
                  "seed", "schedule", "clip_norm", "eval_every", "early_stop_acc"]
-        data = ["kind", "n_train", "n_test", "grid", "seed", "images", "labels",
-                "test_images", "test_labels"]
+        data = ["kind", "n_train", "n_test", "seed", "images", "labels", "test_images",
+                "test_labels"]
         assert [f.name for f in fields(MixerConfig)] == mixer
         assert [f.name for f in fields(BlockConfig)] == ["mixer", "mlp_ratio"]
         assert [f.name for f in fields(ModelConfig)] == model

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MixerConfig,
-                    Module, Rng, Tensor, attention_trace, build_model, canonical_kind,
-                    count_parameters, grad_check, load_checkpoint, ModelConfig,
-                    save_checkpoint)
+                    Module, NumericsError, Rng, Tensor, attention_trace, build_model,
+                    canonical_kind, count_parameters, finite_checks, grad_check,
+                    load_checkpoint, ModelConfig, save_checkpoint)
 from oracles import brute_conv2d
 
 
@@ -200,6 +200,40 @@ class TestModel:
                                              for r in rows if not r.passed]
 
 
+def _stage(kind, heads=2):
+    return {"kind": kind, "depth": 1, "dim": 4, "heads": heads}
+
+
+_NAN_CONFIGS = {
+    f"{kind}{'+cls' if cls else ''}": dict(input=(1, 4, 4), patch=1, cls_token=cls,
+                                           stages=[_stage(kind)])
+    for kind in ("mhsa", "ska", "cska") for cls in (False, True)
+}
+_NAN_CONFIGS["sepconv"] = dict(input=(1, 4, 4), patch=1, stages=[_stage("sepconv", heads=1)])
+_NAN_CONFIGS["dwconv-cska-attn"] = dict(
+    input=(1, 8, 8), patch=2, stages=[_stage("dwconv", heads=1), _stage("cska"), _stage("attn")])
+
+
+class TestFiniteChecksInModels:
+    @pytest.mark.parametrize("name", list(_NAN_CONFIGS))
+    def test_nan_in_any_parameter_raises(self, name):
+        # move ops (transpose, reshape, broadcast, ...) are not scanned, so a
+        # NaN that one of them reads first (key, conv_w, cls) must still be
+        # caught by the next op that computes
+        cfg = ModelConfig(num_classes=2, mlp_ratio=1.0, **_NAN_CONFIGS[name])
+        model = build_model(cfg, seed=0)
+        x = Rng(1).normal((2, *cfg.input))
+        for p in model.named_parameters():
+            good = p.tensor.data
+            bad = good.copy()
+            bad.flat[bad.size // 2] = np.nan
+            p.tensor.data = bad
+            with finite_checks(True), pytest.raises(NumericsError):
+                model(x)
+            p.tensor.data = good
+        model(x)
+
+
 class TestCountParameters:
     def test_ska_mixer_formula(self):
         from skattn import build_mixer
@@ -278,14 +312,47 @@ class TestCheckpoint:
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
 
     @staticmethod
-    def _with_pos_embed(blob: bytes, value) -> bytes:
+    def _with_config(blob: bytes, edit) -> bytes:
+        """The checkpoint with its config blob replaced by `edit(blob)`, and
+        the blob's length field fixed up."""
+        (cfg_len,) = struct.unpack("<I", blob[8:12])
+        cfg_blob = edit(blob[12:12 + cfg_len])
+        return blob[:8] + struct.pack("<I", len(cfg_blob)) + cfg_blob + blob[12 + cfg_len:]
+
+    @classmethod
+    def _with_pos_embed(cls, blob: bytes, value) -> bytes:
         """The checkpoint with `pos_embed` put back into its config blob, as
         files written while ModelConfig had that field carry it."""
-        (cfg_len,) = struct.unpack("<I", blob[8:12])
-        cfg = json.loads(blob[12:12 + cfg_len])
-        assert "pos_embed" not in cfg
-        cfg_blob = json.dumps({**cfg, "pos_embed": value}, sort_keys=True).encode()
-        return blob[:8] + struct.pack("<I", len(cfg_blob)) + cfg_blob + blob[12 + cfg_len:]
+        def edit(cfg_blob):
+            cfg = json.loads(cfg_blob)
+            assert "pos_embed" not in cfg
+            return json.dumps({**cfg, "pos_embed": value}, sort_keys=True).encode()
+        return cls._with_config(blob, edit)
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: bytes([b[0] ^ 0x01]) + b[1:],
+        lambda b: b"\xff" + b[1:],
+        lambda b: b"[1, 2]",
+        lambda b: b.replace(b'"heads": 4', b'"heads": "x"'),
+        lambda b: b.replace(b'"mlp_ratio": 2.0', b'"mlp_ratio": "2"'),
+    ], ids=["flipped-byte", "not-utf8", "json-list", "heads-string", "mlp-ratio-string"])
+    def test_malformed_config_blob_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.skaf"
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        blob = path.read_bytes()
+        path.write_bytes(self._with_config(blob, edit))
+        assert path.read_bytes() != blob
+        with pytest.raises(CheckpointError, match="config"):
+            load_checkpoint(path)
+
+    def test_parameter_name_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "model.skaf"
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        blob = path.read_bytes()
+        assert blob.count(b"stem_w") == 1
+        path.write_bytes(blob.replace(b"stem_w", b"stem\xffw"))
+        with pytest.raises(CheckpointError, match="not present"):
+            load_checkpoint(path)
 
     def test_old_file_with_pos_embed_true_loads_bit_exact(self, tmp_path):
         model = build_model(toy_model_config(kind="cska"), seed=3)

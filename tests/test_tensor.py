@@ -317,12 +317,41 @@ class TestPlumbing:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))).reshape(4, 2)
 
+    @pytest.mark.parametrize("op", [
+        lambda x: x.transpose(0, 2, 1),
+        lambda x: x.reshape(4, 6),
+        lambda x: tz.slice_axis(x, 1, 1, 3),
+        lambda x: tz.broadcast_to(x, (5, 2, 3, 4)),
+    ], ids=["transpose", "reshape", "slice_axis", "broadcast_to"])
+    def test_moves_return_views(self, op):
+        x = Tensor(Rng(5).normal((2, 3, 4)))
+        assert np.shares_memory(op(x).data, x.data)
+
 
 class TestFiniteChecks:
     def test_non_finite_raises(self):
         x = Tensor([1e308])
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="mul"):
             x * 1e308
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x.transpose(1, 0),
+        lambda x: x.reshape(4),
+        lambda x: tz.slice_axis(x, 0, 0, 1),
+        lambda x: tz.broadcast_to(x, (3, 2, 2)),
+        lambda x: concat([x, x], axis=0),
+        lambda x: tz.unfold(x.reshape(1, 1, 2, 2), 1),
+        lambda x: tz.gather_last(x, [0, 1]),
+    ], ids=["transpose", "reshape", "slice_axis", "broadcast_to", "concat", "unfold",
+            "gather_last"])
+    def test_moves_are_not_scanned(self, op):
+        # they create no non-finite value, so they pass one through; the
+        # next op that computes raises
+        x = Tensor([[np.nan, 1.0], [2.0, np.inf]])
+        with finite_checks(True):
+            out = op(x)
+            with pytest.raises(NumericsError, match="mul"):
+                out * 1.0
 
     def test_toggle_off(self):
         with np.errstate(over="ignore"), finite_checks(False):
