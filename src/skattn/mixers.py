@@ -14,13 +14,16 @@ Four interchangeable kinds, built by two classes:
   k x k -> pointwise, a purely convolutional mixer with no attention map.
 
 The three attention kinds differ only in where the logits come from, so they
-are one class, `Attention`, whose kind picks its key parameters and its
-logits step. Everything after the logits is shared: optional 1/sqrt(d_h)
+are one class, `Attention`, whose kind picks its key parameters. Each kind's
+logits are one product q @ k^T (+ bias): mhsa's k is dynamic, ska's is the
+static key, and cska's q is the unfolded query windows and k the conv
+kernels. Everything after the logits is shared: optional 1/sqrt(d_h)
 scaling, a row activation, attention times values, head merge and an output
-projection. With the default softmax activation, scaling, softmax and the
-product with the values are one fused taped entry (`tensor.attention`); the
-relu/gelu/starrelu ablation activations run as a chain of primitives.
-`SepConv` is the no-attention control.
+projection. With the default softmax activation, logits, scaling, softmax
+and the product with the values are one fused taped entry
+(`tensor.attention`). cska with a CLS token, whose logits are a concat, and
+the relu/gelu/starrelu ablation activations run the same arithmetic as a
+chain of primitives. `SepConv` is the no-attention control.
 """
 
 from __future__ import annotations
@@ -198,18 +201,22 @@ class Attention(TokenMixer):
     * cska: a grouped convolution of the queries laid out as an image
       [B, D, grid_h, grid_w] (``conv_w``/``conv_b``; groups = heads, N output
       channels per group, same-size padding) gives every query position one
-      logit per key position. Like ska's, it is one matmul: the unfolded
-      query windows [B, H, Nq, d_h*k*k] times the kernels as [H, d_h*k*k, Nk],
-      so at kernel 1 it is ska with key[h, j] = conv_w[h*N + j, :, 0, 0] (the
-      weight transport). With a CLS token every
-      query gains one extra key column from a learned per-head
-      ``cls_key`` dotted with its query, and the CLS query's spatial-key
-      row is zero (it has no spatial position).
+      logit per key position. Like ska's, it is one product: the unfolded
+      query windows [B, H, Nq, d_h*k*k] are its queries and the kernels as
+      [H, Nk, d_h*k*k] its keys, with ``conv_b`` as a [H, 1, Nk] logit
+      bias, so at kernel 1 it is ska with key[h, j] = conv_w[h*N + j, :, 0, 0]
+      (the weight transport). With a CLS token every query gains one extra
+      key column from a learned per-head ``cls_key`` dotted with its query,
+      and the CLS query's spatial-key row is zero (it has no spatial
+      position).
 
     After the logits the path is shared: optional 1/sqrt(d_h) scaling, the
-    row activation and the product with the values (one fused entry for
-    softmax), head merge, output projection ``wo``/``bo`` and dropout.
-    ``attn_sink``, when given, receives a copy of the post-activation map.
+    row activation and the product with the values, head merge, output
+    projection ``wo``/``bo`` and dropout. Under softmax, logits through the
+    product with the values are one `tensor.attention` entry; cska with a
+    CLS token and the ablation activations run it as a chain of primitives
+    (softmax as `softmax_rows`). ``attn_sink``, when given, receives a copy
+    of the post-activation map.
     """
 
     def __init__(self, cfg: MixerConfig, rng: Rng):
@@ -243,18 +250,27 @@ class Attention(TokenMixer):
                 self.cls_key = self.register(
                     "cls_key", _key_param(rng.split("cls_key"), (h, 1, dh), cfg.key_init))
 
-    def _conv_logits(self, q: Tensor) -> Tensor:
+    def _query_key(self, x: Tensor, q: Tensor) -> tuple[Tensor, Tensor, Tensor | None]:
+        """The query, key and logit bias whose product q @ k^T + bias is the
+        logits (for cska with a CLS token, their spatial block)."""
         cfg = self.cfg
-        b, h, n = q.shape[0], cfg.heads, cfg.tokens
+        h = cfg.heads
+        if cfg.kind == "mhsa":
+            return _split_heads(q, h), _split_heads(T.matmul(x, self.wk), h), None
+        if cfg.kind == "ska":
+            return _split_heads(q, h), self.key, None
+        b, n = q.shape[0], cfg.tokens
         q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
         q_img = q_spatial.transpose(0, 2, 1).reshape(b, cfg.dim, *cfg.grid)
         windows = T.unfold(q_img, cfg.kernel, padding=(cfg.kernel - 1) // 2, groups=h)
-        kernels = self.conv_w.reshape(h, n, -1).transpose(0, 2, 1)              # [H, d_h*k*k, Nk]
-        spatial = T.matmul(windows.transpose(0, 1, 3, 2), kernels)              # [B, H, Nq, Nk]
-        if self.conv_b is not None:
-            spatial = spatial + self.conv_b.reshape(h, 1, n)
-        if not cfg.cls_token:
-            return spatial
+        bias = None if self.conv_b is None else self.conv_b.reshape(h, 1, n)
+        # [B, H, Nq, d_h*k*k] windows against the kernels as [H, Nk, d_h*k*k]
+        return windows.transpose(0, 1, 3, 2), self.conv_w.reshape(h, n, -1), bias
+
+    def _with_cls(self, q: Tensor, spatial: Tensor) -> Tensor:
+        """cska's [B, H, N, N] spatial logits bordered by the CLS key column
+        and the CLS query's zero row."""
+        b, h, n = q.shape[0], self.cfg.heads, self.cfg.tokens
         cls_col = T.matmul(_split_heads(q, h), self.cls_key.transpose(0, 2, 1))  # [B, H, N+1, 1]
         cls_row = Tensor(np.zeros((b, h, 1, n)))
         rows = T.concat([cls_row, spatial], axis=2)                              # [B, H, N+1, N]
@@ -262,7 +278,6 @@ class Attention(TokenMixer):
 
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
         cfg = self.cfg
-        h = cfg.heads
         if cfg.kind != "mhsa" and x.shape[1] != cfg.total_tokens:
             raise ShapeError(
                 f"{cfg.kind} built for {cfg.total_tokens} tokens but input carries {x.shape[1]}")
@@ -270,22 +285,24 @@ class Attention(TokenMixer):
         v = T.matmul(x, self.wv)
         if self.bq is not None:
             q, v = q + self.bq, v + self.bv
-        if cfg.kind == "mhsa":
-            k = _split_heads(T.matmul(x, self.wk), h)
-            logits = T.matmul(_split_heads(q, h), k.transpose(0, 1, 3, 2))
-        elif cfg.kind == "ska":
-            logits = T.matmul(_split_heads(q, h), self.key.transpose(0, 2, 1))
-        else:
-            logits = self._conv_logits(q)
-        v = _split_heads(v, h)
+        qh, kh, bias = self._query_key(x, q)
+        v = _split_heads(v, cfg.heads)
 
         scale = 1.0 / math.sqrt(cfg.head_dim) if cfg.scaled else 1.0
-        if cfg.activation == "softmax":
-            out = T.attention(logits, v, scale, sink=attn_sink)
+        cska_cls = cfg.kind == "cska" and cfg.cls_token
+        if cfg.activation == "softmax" and not cska_cls:
+            out = T.attention(qh, kh, v, scale, bias, sink=attn_sink)
         else:
+            logits = T.matmul(qh, kh.transpose(*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
+            if bias is not None:
+                logits = logits + bias
+            if cska_cls:
+                logits = self._with_cls(q, logits)
             if cfg.scaled:
                 logits = T.mul(logits, scale)
-            if cfg.activation == "relu":
+            if cfg.activation == "softmax":
+                attn = T.softmax_rows(logits)
+            elif cfg.activation == "relu":
                 attn = T.relu(logits)
             elif cfg.activation == "gelu":
                 attn = T.gelu(logits)

@@ -4,8 +4,9 @@ Every operation here is a pure function from input tensors to an output
 tensor. When a `Tape` is active the operation also records a backward rule,
 so reverse-mode differentiation (see `autodiff`) can replay the tape. MACs
 (multiply-accumulates) are tallied into any active `MacCounter` by `matmul`
-(a convolution is `unfold` + `matmul`) and by the weights-times-values
-product of the fused `attention` entry; everything else counts as zero.
+(a convolution is `unfold` + `matmul`) and by the fused `attention` entry,
+which counts both of its products (queries times keys, weights times
+values); everything else counts as zero.
 
 Ops that only move values (`_MOVE_OPS`) may return numpy's strided or
 read-only views, and no op writes into its inputs. Broadcasting follows
@@ -465,9 +466,11 @@ def _softmax_inplace(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _softmax_grad_inplace(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Softmax backward y * (dy - <dy, y>) per row, overwriting `dy`."""
-    dy -= (dy * y).sum(axis=-1, keepdims=True)
+def _softmax_grad_inplace(dy: np.ndarray, y: np.ndarray,
+                          tmp: np.ndarray | None = None) -> np.ndarray:
+    """Softmax backward y * (dy - <dy, y>) per row, overwriting `dy` (and
+    `tmp`, a buffer of dy's shape, when given)."""
+    dy -= np.multiply(dy, y, out=tmp).sum(axis=-1, keepdims=True)
     dy *= y
     return dy
 
@@ -485,39 +488,123 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(y, "softmax_rows", (x,), bwd)
 
 
-def attention(logits, v, scale: float = 1.0, sink: list | None = None) -> Tensor:
-    """Fused softmax(scale * logits) @ v over [..., Nq, Nk] logits and
-    [..., Nk, dv] values with equal leading extents.
+# `attention` works in chunks along axis 0 whose [..., Nq, Nk] logits take
+# about this many bytes (at least one map each)
+_ATTENTION_CHUNK_BYTES = 1 << 20
 
-    One [..., Nq, Nk] buffer holds the scaled logits and is turned into the
-    weights P in place; backward keeps only P and v. The arithmetic runs in
-    the order of mul -> softmax_rows -> matmul, so the output equals that
-    chain bit for bit. Counts Nq*Nk*dv MACs per matrix, as matmul does.
-    When `sink` is a list, a copy of P is appended to it.
+
+class _ChunkGrad:
+    """The gradient of an operand of `attention` that broadcasts against the
+    chunked extents `lead`, gathered chunk by chunk.
+
+    An operand with the full axis 0 takes each chunk's `_unbroadcast` in its
+    slice. Otherwise the chunks are summed over axis 0 row by row, in the
+    order of numpy's own reduction over that axis, so the result equals
+    `_unbroadcast` of the whole gradient bit for bit.
     """
-    ld, vd = _data(logits), _data(v)
-    if ld.ndim < 2 or vd.ndim != ld.ndim or ld.shape[-1] == 0:
-        raise ShapeError(f"attention: need [..., Nq, Nk] logits and [..., Nk, dv] values, "
-                         f"got {ld.shape} and {vd.shape}")
-    if ld.shape[:-2] != vd.shape[:-2] or ld.shape[-1] != vd.shape[-2]:
-        raise ShapeError(f"attention: logits {ld.shape} do not match values {vd.shape}")
-    p = _softmax_inplace(ld * scale)
+
+    def __init__(self, shape: tuple[int, ...], lead: tuple[int, ...]):
+        self.shape = shape
+        self.full = len(shape) == len(lead) + 2 and shape[0] == lead[0]
+        self.grad = np.empty(shape) if self.full else None
+
+    def add(self, sl: slice, g: np.ndarray) -> None:
+        if self.full:
+            self.grad[sl] = _unbroadcast(g, g.shape[:1] + self.shape[1:])
+        elif self.grad is None:
+            self.grad = g.sum(axis=0)
+        else:
+            for row in g:
+                self.grad += row
+
+    def result(self) -> np.ndarray:
+        if self.full:
+            return self.grad
+        tail = self.shape[1:] if len(self.shape) == self.grad.ndim + 1 else self.shape
+        return _unbroadcast(self.grad, tail).reshape(self.shape)
+
+
+def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None) -> Tensor:
+    """Fused softmax(scale * (q @ k^T + bias)) @ v for queries [..., Nq, dk],
+    keys [..., Nk, dk] and values [..., Nk, dv].
+
+    v has q's leading extents; k and the optional bias broadcast against
+    them (bias against the [..., Nq, Nk] logits). The work runs in chunks
+    along axis 0 whose logits take about `_ATTENTION_CHUNK_BYTES`. Each
+    chunk's logits are computed straight into the weights P that backward
+    keeps, and backward computes each chunk's logit gradient dS in one
+    chunk-sized scratch buffer, so no full-size logits or dS exist. The
+    arithmetic runs in the order of matmul -> add -> mul -> softmax_rows ->
+    matmul, so the output equals that chain bit for bit. Counts
+    Nq*Nk*(dk + dv) MACs per map, as the chain's two matmuls do. When `sink`
+    is a list, a copy of P is appended to it.
+    """
+    qd, kd, vd = _data(q), _data(k), _data(v)
+    bd = None if bias is None else _data(bias)
+    if qd.ndim < 2 or kd.ndim < 2 or vd.ndim != qd.ndim:
+        raise ShapeError(f"attention: need [..., Nq, dk] queries, [..., Nk, dk] keys and "
+                         f"[..., Nk, dv] values, got {qd.shape}, {kd.shape} and {vd.shape}")
+    (nq, dk), (nk, dv) = qd.shape[-2:], vd.shape[-2:]
+    if kd.shape[-2:] != (nk, dk) or vd.shape[:-2] != qd.shape[:-2] or nk == 0:
+        raise ShapeError(f"attention: queries {qd.shape}, keys {kd.shape} and values "
+                         f"{vd.shape} do not match")
+    lead = qd.shape[:-2] or (1,)  # one map gets a leading axis to chunk along
+    q3, v3 = qd.reshape(lead + (nq, dk)), vd.reshape(lead + (nk, dv))
+    try:
+        kb = np.broadcast_to(kd, lead + (nk, dk))
+        bb = None if bd is None else np.broadcast_to(bd, lead + (nq, nk))
+    except ValueError:
+        raise ShapeError(f"attention: keys {kd.shape} or bias {None if bd is None else bd.shape} "
+                         f"do not broadcast against queries {qd.shape}") from None
+    step = max(1, _ATTENTION_CHUNK_BYTES // max(1, 8 * math.prod(lead[1:]) * nq * nk))
+    chunks = [slice(i, i + step) for i in range(0, lead[0], step)]
+    p = np.empty(lead + (nq, nk))
+    out = np.empty(lead + (nq, dv))
+    for sl in chunks:
+        pc = p[sl]
+        np.matmul(q3[sl], np.swapaxes(kb[sl], -1, -2), out=pc)
+        if bb is not None:
+            pc += bb[sl]
+        pc *= scale
+        _softmax_inplace(pc)
+        np.matmul(pc, v3[sl], out=out[sl])
     if sink is not None:
-        sink.append(p.copy())
-    out = np.matmul(p, vd)
-    _add_macs(out.size * ld.shape[-1])
+        sink.append(p.reshape(qd.shape[:-1] + (nk,)).copy())
+    _add_macs(math.prod(lead) * nq * nk * (dk + dv))
 
     def bwd(g):
+        g3 = g.reshape(lead + (nq, dv))
+        dq = np.empty(q3.shape) if isinstance(q, Tensor) else None
+        dkt = _ChunkGrad(kd.shape[:-2] + (dk, nk), lead) if isinstance(k, Tensor) else None
+        dvs = np.empty(v3.shape) if isinstance(v, Tensor) else None
+        db = _ChunkGrad(bd.shape, lead) if isinstance(bias, Tensor) else None
+        scratch = np.empty((2, min(step, lead[0])) + lead[1:] + (nq, nk))  # dS and a temporary
+        for sl in chunks:
+            pc, gc = p[sl], g3[sl]
+            if dvs is not None:
+                np.matmul(np.swapaxes(pc, -1, -2), gc, out=dvs[sl])
+            ds, tmp = scratch[:, :pc.shape[0]]
+            np.matmul(gc, np.swapaxes(v3[sl], -1, -2), out=ds)
+            _softmax_grad_inplace(ds, pc, tmp)
+            ds *= scale
+            if dq is not None:
+                np.matmul(ds, kb[sl], out=dq[sl])
+            if dkt is not None:
+                dkt.add(sl, np.matmul(np.swapaxes(q3[sl], -1, -2), ds))
+            if db is not None:
+                db.add(sl, ds)
         grads = []
-        if isinstance(logits, Tensor):
-            dlogits = _softmax_grad_inplace(np.matmul(g, np.swapaxes(vd, -1, -2)), p)
-            dlogits *= scale
-            grads.append(dlogits)
-        if isinstance(v, Tensor):
-            grads.append(np.matmul(np.swapaxes(p, -1, -2), g))
+        if dq is not None:
+            grads.append(dq.reshape(qd.shape))
+        if dkt is not None:
+            grads.append(np.swapaxes(dkt.result(), -1, -2))
+        if dvs is not None:
+            grads.append(dvs.reshape(vd.shape))
+        if db is not None:
+            grads.append(db.result())
         return tuple(grads)
 
-    return _make(out, "attention", (logits, v), bwd)
+    return _make(out.reshape(qd.shape[:-1] + (dv,)), "attention", (q, k, v, bias), bwd)
 
 
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:

@@ -1,0 +1,79 @@
+"""Property tests of the fused `attention` entry against the composed chain,
+over random shapes, broadcasts and chunk budgets drawn by hypothesis
+(derandomized, so every run draws the same examples)."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from skattn import Rng, ShapeError, Tensor, attention
+from skattn import tensor as tz
+from test_tensor import _grads, composed_attention
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+
+@st.composite
+def attention_shapes(draw):
+    """(q, k, v, bias-or-None) shapes of a valid call: k and bias broadcast
+    against q's leading extents, by dropping leading axes or by extent 1."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    nq, nk, dk, dv = (draw(st.integers(1, 5)) for _ in range(4))
+
+    def broadcast(full):
+        dropped = full[draw(st.integers(0, len(full))):]
+        return tuple(1 if draw(st.booleans()) else n for n in dropped)
+
+    bias = broadcast((*lead, nq, nk)) if draw(st.booleans()) else None
+    return (*lead, nq, dk), broadcast(lead) + (nk, dk), (*lead, nk, dv), bias
+
+
+def _tensors(shapes, seed):
+    rng = Rng(seed)
+    return [None if s is None else Tensor(rng.normal(s)) for s in shapes]
+
+
+@PROPERTY
+@given(attention_shapes(), st.integers(1, 1 << 12), st.sampled_from([1.0, 0.5, 0.3]),
+       st.integers(0, 2 ** 32))
+def test_fused_equals_chain(shapes, budget, scale, seed):
+    q, k, v, bias = _tensors(shapes, seed)
+    inputs = tuple(t for t in (q, k, v, bias) if t is not None)
+    w = Rng(seed + 1).normal(shapes[0][:-1] + shapes[2][-1:])
+
+    def run(fn):
+        return _grads(lambda *a: fn(*a[:3], scale, bias if bias is None else a[3]), inputs, w)
+
+    with mock.patch.object(tz, "_ATTENTION_CHUNK_BYTES", budget):
+        got, got_g = run(attention)
+    want, want_g = run(composed_attention)
+    assert np.array_equal(got, want)
+    for g_fused, g_chain in zip(got_g, want_g):
+        assert g_fused.shape == g_chain.shape
+        assert np.abs(g_fused - g_chain).max() <= 1e-12
+
+
+@PROPERTY
+@given(attention_shapes(), st.integers(0, 2 ** 32),
+       st.sampled_from(["nk", "dk", "v_lead", "k_lead", "bias", "rank"]))
+def test_mismatched_shapes_raise_shape_error(shapes, seed, fault):
+    q, k, v, bias = shapes
+    if fault == "nk":
+        v = v[:-2] + (v[-2] + 1, v[-1])
+    elif fault == "dk":
+        k = k[:-1] + (k[-1] + 1,)
+    elif fault == "v_lead":
+        v = (2,) + v
+    elif fault == "k_lead":
+        k = (q[0] + 1,) + q[1:-2] + k[-2:]  # an extent that neither matches nor is 1
+    elif fault == "bias":
+        bias = (q[-2] + 1, k[-2])
+    else:
+        q = q[-1:]
+    q_t, k_t, v_t, bias_t = _tensors((q, k, v, bias), seed)
+    with pytest.raises(ShapeError):
+        attention(q_t, k_t, v_t, 0.5, bias_t)

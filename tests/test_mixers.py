@@ -302,6 +302,13 @@ def _forward_and_grads(mixer, x, w):
     return out.data, sink, {p.name: grads[p.tensor] for p in mixer.named_parameters()}
 
 
+def _counting(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(fn)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 class TestFusedAttention:
     """Every softmax mixer through the fused entry against the composed chain."""
 
@@ -312,9 +319,14 @@ class TestFusedAttention:
         mixer, cfg = make(kind, tokens=16, cls_token=cls_token, scaled=scaled, seed=7)
         x = Tensor(Rng(8).normal((2, cfg.total_tokens, cfg.dim)))
         w = Rng(9).normal((2, cfg.total_tokens, cfg.dim))
+        fused, calls = tz.attention, []
+        monkeypatch.setattr(tz, "attention", _counting(fused, calls))
         out, sink, grads = _forward_and_grads(mixer, x, w)
-        monkeypatch.setattr(tz, "attention", composed_attention)
+        monkeypatch.setattr(tz, "attention", _counting(composed_attention, calls))
         want_out, want_sink, want_grads = _forward_and_grads(mixer, x, w)
+        # cska's CLS logits are a concat, so that mixer runs the chain itself
+        uses_entry = not (kind == "cska" and cls_token)
+        assert calls == ([fused, composed_attention] if uses_entry else [])
         assert np.array_equal(out, want_out)
         assert len(sink) == 1 and np.array_equal(sink[0], want_sink[0])
         assert grads.keys() == want_grads.keys()

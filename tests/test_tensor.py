@@ -76,8 +76,16 @@ class TestSoftmax:
             softmax_rows(Tensor(np.zeros((3, 0))))
 
 
-def composed_attention(logits, v, scale=1.0, sink=None):
-    """The unfused reference for `attention`: mul -> softmax_rows -> matmul."""
+def _swap_last(t):
+    return transpose(t, (*range(t.ndim - 2), t.ndim - 1, t.ndim - 2))
+
+
+def composed_attention(q, k, v, scale=1.0, bias=None, sink=None):
+    """The unfused reference for `attention`: matmul(q, k^T) -> add(bias) ->
+    mul(scale) -> softmax_rows -> matmul."""
+    logits = matmul(q, _swap_last(k))
+    if bias is not None:
+        logits = tz.add(logits, bias)
     attn = softmax_rows(logits if scale == 1.0 else tz.mul(logits, scale))
     if sink is not None:
         sink.append(attn.data.copy())
@@ -92,77 +100,112 @@ def _grads(f, inputs, w):
     return out.data, [grads[t] for t in inputs]
 
 
+def _operands(lead, nq, nk, dk, dv, k_lead=None, bias_shape=None, seed=0):
+    """q, k, v, bias (or None) and an upstream weight w for `attention`."""
+    rng = Rng(seed)
+    k_lead = lead if k_lead is None else k_lead
+    q = Tensor(rng.normal((*lead, nq, dk)))
+    k = Tensor(rng.normal((*k_lead, nk, dk)))
+    v = Tensor(rng.normal((*lead, nk, dv)))
+    bias = None if bias_shape is None else Tensor(rng.normal(bias_shape))
+    return q, k, v, bias, rng.normal((*lead, nq, dv))
+
+
 class TestAttention:
-    """The fused entry against the mul -> softmax_rows -> matmul chain."""
+    """The fused entry against the matmul -> add -> mul -> softmax_rows ->
+    matmul chain."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / math.sqrt(8.0)])
-    @pytest.mark.parametrize("shape", [(2, 3, 5, 7, 4), (3, 6, 6, 2), (4, 1, 3)])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7, 6, 4), (3, 6, 6, 3, 2), (4, 1, 3, 2)])
     def test_matches_composed_chain(self, shape, scale):
-        *lead, nq, nk, dv = shape
-        rng = Rng(sum(shape))
-        logits = Tensor(rng.normal((*lead, nq, nk)) * 3.0)
-        v = Tensor(rng.normal((*lead, nk, dv)))
-        w = rng.normal((*lead, nq, dv))
-        got, got_g = _grads(lambda a, b: attention(a, b, scale), (logits, v), w)
-        want, want_g = _grads(lambda a, b: composed_attention(a, b, scale), (logits, v), w)
+        *lead, nq, nk, dk, dv = shape
+        q, k, v, _, w = _operands(lead, nq, nk, dk, dv, seed=sum(shape))
+        q = Tensor(q.data * 3.0)
+        got, got_g = _grads(lambda *a: attention(*a, scale), (q, k, v), w)
+        want, want_g = _grads(lambda *a: composed_attention(*a, scale), (q, k, v), w)
         assert np.array_equal(got, want)
         for g_fused, g_chain in zip(got_g, want_g):
             assert np.abs(g_fused - g_chain).max() <= 1e-12
 
+    def test_broadcast_key_and_bias(self):
+        # ska's key [H, Nk, dk] and cska's bias [H, 1, Nk] against [B, H, ...] queries
+        q, k, v, bias, w = _operands((3, 2), 5, 7, 4, 3, k_lead=(2,), bias_shape=(2, 1, 7), seed=11)
+        got, got_g = _grads(lambda *a: attention(*a[:3], 0.5, a[3]), (q, k, v, bias), w)
+        want, want_g = _grads(lambda *a: composed_attention(*a[:3], 0.5, a[3]), (q, k, v, bias), w)
+        assert np.array_equal(got, want)
+        assert [g.shape for g in got_g] == [(3, 2, 5, 4), (2, 7, 4), (3, 2, 7, 3), (2, 1, 7)]
+        for g_fused, g_chain in zip(got_g, want_g):
+            assert np.abs(g_fused - g_chain).max() <= 1e-12
+
     def test_grad_check(self):
-        rng = Rng(21)
-        logits = Tensor(rng.normal((2, 2, 4, 5)))
-        v = Tensor(rng.normal((2, 2, 5, 3)))
-        w = rng.normal((2, 2, 4, 3))
-        params = [Parameter("logits", logits), Parameter("v", v)]
-        rows = grad_check(lambda: (attention(logits, v, 0.7) * w).sum(), params)
+        q, k, v, bias, w = _operands((2, 2), 4, 5, 3, 3, bias_shape=(2, 1, 5), seed=21)
+        params = [Parameter("q", q), Parameter("k", k), Parameter("v", v), Parameter("bias", bias)]
+        rows = grad_check(lambda: (attention(q, k, v, 0.7, bias) * w).sum(), params)
         assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
 
     def test_mac_count_equals_chain(self):
-        logits = Tensor(Rng(0).normal((2, 3, 5, 7)))
-        v = Tensor(Rng(1).normal((2, 3, 7, 4)))
+        q, k, v, _, _ = _operands((2, 3), 5, 7, 6, 4, k_lead=(3,))
         with MacCounter() as fused:
-            attention(logits, v, 0.5)
+            attention(q, k, v, 0.5)
         with MacCounter() as chain:
-            composed_attention(logits, v, 0.5)
-        assert fused.macs == chain.macs == 2 * 3 * 5 * 7 * 4
+            composed_attention(q, k, v, 0.5)
+        assert fused.macs == chain.macs == 2 * 3 * 5 * 7 * (6 + 4)
+
+    @pytest.mark.parametrize("budget", [1, 2 * 2 * 6 * 7 * 8])  # one map, two maps per chunk
+    def test_chunking_is_invisible(self, budget, monkeypatch):
+        q, k, v, bias, w = _operands((5, 2), 6, 7, 3, 4, k_lead=(2,), bias_shape=(2, 1, 7), seed=31)
+        inputs = (q, k, v, bias)
+        one = _grads(lambda *a: attention(*a[:3], 0.3, a[3]), inputs, w)
+        monkeypatch.setattr(tz, "_ATTENTION_CHUNK_BYTES", budget)
+        chunked = _grads(lambda *a: attention(*a[:3], 0.3, a[3]), inputs, w)
+        assert np.array_equal(one[0], chunked[0])
+        assert all(np.array_equal(a, b) for a, b in zip(one[1], chunked[1]))
 
     def test_sink_receives_the_weights_used(self):
-        logits = Tensor(Rng(2).normal((1, 2, 4, 4)))
+        q, k, _, _, _ = _operands((1, 2), 4, 4, 3, 4, seed=2)
         v = Tensor(np.eye(4)[None, None].repeat(2, axis=1))
         sink = []
-        out = attention(logits, v, 0.25, sink=sink)
+        out = attention(q, k, v, 0.25, sink=sink)
         assert len(sink) == 1
         # v is the identity, so the output is P itself
         assert np.array_equal(sink[0], out.data)
-        assert np.array_equal(sink[0], softmax_rows(tz.mul(logits, 0.25)).data)
+        assert np.array_equal(sink[0], softmax_rows(tz.mul(matmul(q, _swap_last(k)), 0.25)).data)
 
     def test_inputs_and_upstream_gradient_untouched(self):
-        logits = Tensor(Rng(3).normal((2, 4, 4)))
-        v = Tensor(Rng(4).normal((2, 4, 3)))
-        saved = logits.data.copy(), v.data.copy()
+        q, k, v, bias, _ = _operands((2,), 4, 4, 3, 3, bias_shape=(1, 4), seed=3)
+        saved = [t.data.copy() for t in (q, k, v, bias)]
         with Tape() as tape:
-            attention(logits, v, 0.5)
+            attention(q, k, v, 0.5, bias)
         _, _, bwd = tape.entries[-1]
         g = Rng(5).normal((2, 4, 3))
         g_saved = g.copy()
         first = bwd(g)
         second = bwd(g)
         assert np.array_equal(g, g_saved)
-        assert np.array_equal(logits.data, saved[0]) and np.array_equal(v.data, saved[1])
+        assert all(np.array_equal(t.data, s) for t, s in zip((q, k, v, bias), saved))
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_non_finite_names_attention(self):
-        logits = Tensor(np.array([[[0.0, np.inf], [1.0, 2.0]]]))
-        v = Tensor(np.ones((1, 2, 3)))
+        q = Tensor(np.array([[[np.inf, 0.0], [1.0, 2.0]]]))
+        k, v = Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 2, 3)))
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="attention"):
-            attention(logits, v, 1.0)
+            attention(q, k, v, 1.0)
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError, match="attention"):
-            attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 2))))
-        with pytest.raises(ShapeError, match="attention"):
-            attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+        for q_shape, k_shape, v_shape, bias_shape in [
+            ((2, 3, 4), (2, 5, 4), (2, 6, 2), None),     # Nk of keys and values differ
+            ((2, 3, 4), (2, 5, 3), (2, 5, 2), None),     # dk of queries and keys differ
+            ((2, 3, 4), (2, 5, 4), (3, 5, 2), None),     # values' leading extents differ
+            ((2, 3, 4), (3, 5, 4), (2, 5, 2), None),     # keys do not broadcast
+            ((3, 4), (2, 5, 4), (5, 2), None),           # keys would widen the queries
+            ((2, 3, 4), (2, 5, 4), (2, 5, 2), (2, 5)),   # bias does not broadcast
+            ((2, 3, 4), (2, 0, 4), (2, 0, 2), None),     # no keys
+            ((4,), (5, 4), (5, 2), None),                # 1-D queries
+        ]:
+            bias = None if bias_shape is None else Tensor(np.zeros(bias_shape))
+            with pytest.raises(ShapeError, match="attention"):
+                attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
+                          Tensor(np.zeros(v_shape)), bias=bias)
 
 
 def _composed_layer_norm(x, gamma, beta, eps):
