@@ -74,36 +74,30 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Walk the tape in reverse, returning gradients of `loss`.
 
     Seeds the loss gradient with 1.0 and accumulates by summation at
-    fan-out. Every tensor that received a gradient also has its `.grad`
-    slot set; it may be a read-only view, since no backward rule writes into
-    the gradient it is given. Raises if the loss is not a scalar or was not
-    produced on this tape.
+    fan-out. Returns {tensor: gradient} (Tensors hash by identity) over every
+    tensor reached, intermediates included, and sets each one's `.grad`; a
+    gradient may be a read-only view, since no backward rule writes into it.
+    Raises if the loss is not a scalar or was not produced on this tape.
     """
     if loss.size != 1:
         raise AutodiffError(f"loss must be scalar, got shape {loss.shape}")
-    produced = {id(out) for out, _, _ in tape.entries}
-    if id(loss) not in produced:
+    if not any(out is loss for out, _, _ in tape.entries):
         raise AutodiffError("loss tensor was not produced on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for out, inputs, bwd in reversed(tape.entries):
-        g = grads.get(id(out))
+        g = grads.get(out)
         if g is None:
             continue
         for t, gt in zip(inputs, bwd(g)):
             if gt is None:
                 continue
-            prev = grads.get(id(t))
-            grads[id(t)] = gt if prev is None else prev + gt
-            holders[id(t)] = t
+            prev = grads.get(t)
+            grads[t] = gt if prev is None else prev + gt
 
-    result: dict[Tensor, np.ndarray] = {}
-    for tid, g in grads.items():
-        t = holders[tid]
+    for t, g in grads.items():
         t.grad = g
-        result[t] = g
-    return result
+    return grads
 
 
 @dataclass

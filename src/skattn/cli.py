@@ -22,6 +22,7 @@ import copy
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from itertools import product
@@ -76,9 +77,12 @@ def _coerce(old, raw: str, path: str):
             raise ConfigError(f"cannot parse {raw!r} as int for {path}") from None
     if isinstance(old, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"cannot parse {raw!r} as float for {path}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be a finite number, got {raw!r}")
+        return value
     if isinstance(old, (list, dict)):
         try:
             value = json.loads(raw)

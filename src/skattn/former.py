@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -334,23 +335,32 @@ _VERSION = 1
 
 
 def save_checkpoint(model: Model, path, *, seed: int = 0, step: int = 0) -> None:
+    """Write a SKAF file to a temp file in the same directory, which then
+    replaces `path`: a failed write leaves the old file whole and no temp."""
     cfg_blob = json.dumps(model.cfg.to_dict(), sort_keys=True).encode()
     params = model.named_parameters()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(cfg_blob)))
-        f.write(cfg_blob)
-        f.write(struct.pack("<QQ", seed, step))
-        f.write(struct.pack("<I", len(params)))
-        for p in params:
-            name = p.name.encode()
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<B", p.tensor.ndim))
-            for extent in p.tensor.shape:
-                f.write(struct.pack("<I", extent))
-            f.write(p.tensor.data.astype("<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", _VERSION))
+            f.write(struct.pack("<I", len(cfg_blob)))
+            f.write(cfg_blob)
+            f.write(struct.pack("<QQ", seed, step))
+            f.write(struct.pack("<I", len(params)))
+            for p in params:
+                name = p.name.encode()
+                f.write(struct.pack("<H", len(name)))
+                f.write(name)
+                f.write(struct.pack("<B", p.tensor.ndim))
+                for extent in p.tensor.shape:
+                    f.write(struct.pack("<I", extent))
+                f.write(p.tensor.data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(f, n: int, what: str) -> bytes:

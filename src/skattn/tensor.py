@@ -198,85 +198,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / structural primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
+def _broadcast_op(op: str, ufunc, a, b, da, db) -> Tensor:
+    """add, sub, mul and matmul: `ufunc(a, b)`; each Tensor operand's gradient
+    is its local partial `da(g, b)` or `db(g, a)`, summed back onto its shape."""
     ad, bd = _data(a), _data(b)
     try:
-        out = ad + bd
+        out = ufunc(ad, bd)
     except ValueError:
-        raise ShapeError(f"add: shapes {ad.shape} and {bd.shape} do not broadcast") from None
+        raise ShapeError(f"{op}: shapes {ad.shape} and {bd.shape} do not broadcast") from None
 
     def bwd(g):
         grads = []
         if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g, ad.shape))
+            grads.append(_unbroadcast(da(g, bd), ad.shape))
         if isinstance(b, Tensor):
-            grads.append(_unbroadcast(g, bd.shape))
+            grads.append(_unbroadcast(db(g, ad), bd.shape))
         return tuple(grads)
 
-    return _make(out, "add", (a, b), bwd)
+    return _make(out, op, (a, b), bwd)
+
+
+def add(a, b) -> Tensor:
+    return _broadcast_op("add", np.add, a, b, lambda g, _: g, lambda g, _: g)
 
 
 def sub(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    try:
-        out = ad - bd
-    except ValueError:
-        raise ShapeError(f"sub: shapes {ad.shape} and {bd.shape} do not broadcast") from None
-
-    def bwd(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g, ad.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(-g, bd.shape))
-        return tuple(grads)
-
-    return _make(out, "sub", (a, b), bwd)
+    return _broadcast_op("sub", np.subtract, a, b, lambda g, _: g, lambda g, _: -g)
 
 
 def mul(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    try:
-        out = ad * bd
-    except ValueError:
-        raise ShapeError(f"mul: shapes {ad.shape} and {bd.shape} do not broadcast") from None
+    return _broadcast_op("mul", np.multiply, a, b, np.multiply, np.multiply)
+
+
+def _reduce(x: Tensor, op: str, forward, axis, keepdims, average: bool) -> Tensor:
+    """reduce_sum and mean: the gradient is spread back over the reduced axes,
+    divided by the count of elements each output averages if `average` is set."""
+    xd = _data(x)
+    out = forward(xd, axis=axis, keepdims=keepdims)
+    count = xd.size // max(out.size, 1) if average else 1
 
     def bwd(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g * bd, ad.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(g * ad, bd.shape))
-        return tuple(grads)
+        g_exp = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_exp / count, xd.shape),)
 
-    return _make(out, "mul", (a, b), bwd)
+    return _make(out, op, (x,), bwd)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    xd = _data(x)
-    out = xd.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, xd.shape),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, xd.shape),)
-
-    return _make(out, "sum", (x,), bwd)
+    return _reduce(x, "sum", np.ndarray.sum, axis, keepdims, average=False)
 
 
 def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    xd = _data(x)
-    out = xd.mean(axis=axis, keepdims=keepdims)
-    count = xd.size if axis is None else math.prod(xd.shape[a] for a in np.atleast_1d(axis))
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, xd.shape),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp / count, xd.shape),)
-
-    return _make(out, "mean", (x,), bwd)
+    return _reduce(x, "mean", np.ndarray.mean, axis, keepdims, average=True)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -369,22 +342,13 @@ def matmul(a, b) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ: {ad.shape} @ {bd.shape}")
     try:
-        out = np.matmul(ad, bd)
+        batch = np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul: batch extents do not broadcast: {ad.shape} @ {bd.shape}") from None
-    _add_macs(out.size * ad.shape[-1])
-
-    def bwd(g):
-        grads = []
-        if isinstance(a, Tensor):
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            grads.append(_unbroadcast(ga, ad.shape))
-        if isinstance(b, Tensor):
-            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-            grads.append(_unbroadcast(gb, bd.shape))
-        return tuple(grads)
-
-    return _make(out, "matmul", (a, b), bwd)
+    _add_macs(math.prod(batch) * ad.shape[-2] * ad.shape[-1] * bd.shape[-1])
+    return _broadcast_op("matmul", np.matmul, a, b,
+                         lambda g, bd: np.matmul(g, np.swapaxes(bd, -1, -2)),
+                         lambda g, ad: np.matmul(np.swapaxes(ad, -1, -2), g))
 
 
 def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:

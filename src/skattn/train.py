@@ -39,6 +39,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.betas = tuple(self.betas)
+        if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"train.betas must be two values in [0, 1), got {list(self.betas)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:

@@ -83,6 +83,19 @@ class TestBackward:
         backward(tape, loss)
         assert w.grad is not None and w.grad.shape == w.shape
 
+    def test_result_is_keyed_by_the_tensors_and_intermediates_get_grad(self):
+        x = Tensor([1.0, 2.0])
+        with Tape() as tape:
+            h = x * 3.0
+            hh = h * h
+            loss = hh.sum()
+        grads = backward(tape, loss)
+        assert list(map(id, grads)) == [id(loss), id(hh), id(h), id(x)]
+        for t in (loss, hh, h, x):
+            assert grads[t] is t.grad
+        assert np.array_equal(h.grad, 2.0 * h.data)
+        assert np.array_equal(x.grad, 18.0 * x.data)
+
     def test_batch_sum_equals_per_sample_sum(self):
         rng = Rng(6)
         w = Tensor(rng.normal((4, 3)))

@@ -422,6 +422,39 @@ class TestSetCoercion:
         assert message in capsys.readouterr().err
 
 
+class TestFloatLeaves:
+    @pytest.mark.parametrize("assignment", [
+        "model.mlp_ratio=nan", "model.mlp_ratio=inf", "train.lr=inf", "train.lr=-inf",
+        "train.clip_norm=nan", "train.weight_decay=1e400",
+    ])
+    def test_non_finite_set_exits_2_naming_the_key(self, tmp_path, capsys, assignment):
+        key = assignment.split("=")[0]
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            load_config(None, [assignment])
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--set", assignment, "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
+    def test_non_finite_config_file_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        cfg_path = _config_file(tmp_path, {"model": {"mlp_ratio": float("nan")}})
+        assert run("train", "--config", cfg_path, *FAST_TRAIN, "--out", str(tmp_path / "x")) == 2
+        assert "model.mlp_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("betas", ["[0.9, 2.0]", "[0.9, 1.0]", "[-0.1, 0.9]", "[0.9]",
+                                       "[0.9, 0.99, 0.999]", "[NaN, 0.9]", '["a", 0.9]'])
+    def test_betas_must_be_two_values_in_unit_interval(self, tmp_path, capsys, betas):
+        with pytest.raises(ConfigError, match="train.betas"):
+            TrainConfig(betas=json.loads(betas))
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--set", f"train.betas={betas}", "--out", str(out)) == 2
+        assert "train.betas" in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
+    def test_betas_bounds(self):
+        assert TrainConfig(betas=[0.0, 0.999999]).betas == (0.0, 0.999999)
+
+
 class TestCountGrid:
     def test_grid_must_hold_the_tokens_for_every_kind(self, capsys):
         assert run("count", "--mixer", "ska", "--N", "16", "--D", "8", "--grid", "3,3") == 2

@@ -269,6 +269,26 @@ class TestCheckpoint:
         assert (seed, step) == (3, 11)
         assert np.array_equal(loaded(x).data, want)
 
+    @pytest.mark.parametrize("fail_at", [1, 4, 30])
+    def test_failed_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "model.skaf"
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        old = path.read_bytes()
+        pack, calls = struct.pack, []
+
+        def pack_until_disk_full(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise OSError("disk full")
+            return pack(*args)
+
+        monkeypatch.setattr(struct, "pack", pack_until_disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(toy_model_config(kind="cska"), seed=1), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.skaf"]
+
     def test_truncated_file(self, tmp_path):
         cfg = toy_model_config()
         model = build_model(cfg, seed=0)

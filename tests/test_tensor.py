@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,14 @@ class TestPlumbing:
         assert np.abs(got_out.data - want_out.data).max() < 1e-15
         assert np.abs(got - want).max() < 1e-15
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_broadcast_error_names_the_op_and_both_shapes(self, op):
+        message = re.escape(f"{op}: shapes (2, 3) and (4,) do not broadcast")
+        with pytest.raises(ShapeError, match=message):
+            getattr(tz, op)(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match=message):  # a constant operand too
+            getattr(tz, op)(Tensor(np.zeros((2, 3))), np.zeros(4))
+
     def test_reshape_error(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))).reshape(4, 2)
@@ -372,10 +381,11 @@ class TestPlumbing:
 
 
 class TestFiniteChecks:
-    def test_non_finite_raises(self):
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_non_finite_raises(self, op):
         x = Tensor([1e308])
-        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="mul"):
-            x * 1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match=f"'{op}'"):
+            getattr(tz, op)(x, -1e308 if op == "sub" else 1e308)
 
     @pytest.mark.parametrize("op", [
         lambda x: x.transpose(1, 0),
