@@ -74,9 +74,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Walk the tape in reverse, returning gradients of `loss`.
 
     Seeds the loss gradient with 1.0 and accumulates by summation at
-    fan-out. Returns {tensor: gradient} (Tensors hash by identity) over every
-    tensor reached, intermediates included, and sets each one's `.grad`; a
-    gradient may be a read-only view, since no backward rule writes into it.
+    fan-out. Each intermediate gradient (of a tensor some tape entry
+    produced) is freed as soon as that entry's rule has consumed it, so only
+    leaves, the tensors reached that no entry produced, get a `.grad`, and
+    the result is {leaf: gradient} (Tensors hash by identity). A gradient may
+    be a read-only view, since no backward rule writes into it. The tape is
+    left whole, so a second pass over it gives the same gradients.
     Raises if the loss is not a scalar or was not produced on this tape.
     """
     if loss.size != 1:
@@ -86,7 +89,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for out, inputs, bwd in reversed(tape.entries):
-        g = grads.get(out)
+        # inputs precede their consumers on the tape, so `out` has all its gradient here
+        g = grads.pop(out, None)
         if g is None:
             continue
         for t, gt in zip(inputs, bwd(g)):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -29,6 +30,7 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .autodiff import grad_check
 from .complexity import count_ops, counting_config, emit_curves
@@ -180,11 +182,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, artifacts: list[Path], notes: list[str] | None = None) -> None:
+def _write_manifest(out: Path, command: str, artifacts: list[Path], notes: list[str] | None = None,
+                    cfg: dict | None = None) -> None:
+    """List the artifacts with the library versions that made them; for a
+    command run from a config, also its seed and the sha256 of its canonical
+    JSON (sorted keys, no spaces)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": command,
         "artifacts": sorted(str(a.relative_to(out)) for a in artifacts),
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                     "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"},
     }
+    if cfg is not None:
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        manifest["seed"] = cfg["train"]["seed"]
+        manifest["config_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
     if notes:
         manifest["notes"] = notes
     path = out / "manifest.json"
@@ -234,7 +247,7 @@ def cmd_train(args) -> int:
     save_checkpoint(model, ckpt, seed=seed, step=log.steps[-1])
     config_echo = out / "config.json"
     config_echo.write_text(json.dumps(cfg, indent=2) + "\n")
-    _write_manifest(out, "train", [runlog, ckpt, config_echo])
+    _write_manifest(out, "train", [runlog, ckpt, config_echo], cfg=cfg)
     acc = "n/a" if log.final_eval_acc is None else f"{log.final_eval_acc:.4f}"
     print(f"trained {log.steps[-1]} steps: "
           f"final loss {log.final_loss:.6g}, eval acc {acc}")
@@ -400,7 +413,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     path = out / "sweep.csv"
     _write_csv(path, ["heads", "test_acc", "params", "flops", "seed"], rows)
-    _write_manifest(out, "sweep", [path])
+    _write_manifest(out, "sweep", [path], cfg=cfg)
     return 0
 
 
@@ -439,7 +452,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     path = out / "ablate.csv"
     _write_csv(path, ["activation", "scaled", "normalized", "max_row_sum_dev", "test_acc", "seed"], rows)
-    _write_manifest(out, "ablate", [path])
+    _write_manifest(out, "ablate", [path], cfg=cfg)
     return 0
 
 

@@ -336,7 +336,9 @@ _VERSION = 1
 
 def save_checkpoint(model: Model, path, *, seed: int = 0, step: int = 0) -> None:
     """Write a SKAF file to a temp file in the same directory, which then
-    replaces `path`: a failed write leaves the old file whole and no temp."""
+    replaces `path`: a failed write leaves the old file whole and no temp.
+    The temp file is fsynced before the replace and the directory after it,
+    so a power loss leaves either the old file or the whole new one."""
     cfg_blob = json.dumps(model.cfg.to_dict(), sort_keys=True).encode()
     params = model.named_parameters()
     path = Path(path)
@@ -357,10 +359,17 @@ def save_checkpoint(model: Model, path, *, seed: int = 0, step: int = 0) -> None
                 for extent in p.tensor.shape:
                     f.write(struct.pack("<I", extent))
                 f.write(p.tensor.data.astype("<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)  # makes the replace itself durable
+    finally:
+        os.close(dir_fd)
 
 
 def _read(f, n: int, what: str) -> bytes:

@@ -15,6 +15,7 @@ numpy semantics; gradients are reduced back onto the operand shapes.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 
@@ -26,6 +27,30 @@ from .errors import NumericsError, ShapeError
 _TAPES: list["Tape"] = []
 _MAC_COUNTERS: list["MacCounter"] = []
 _FINITE_CHECKS = [True]
+
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> None:
+    """Keep what this process frees in its heap, for the next step to reuse.
+
+    glibc would mmap large blocks and trim a freed heap top, so each step
+    would fault back in the pages the last one freed (`backward` frees each
+    gradient once consumed). The cost: freed memory is not handed back to the
+    OS. Changes only this process's allocator; a no-op without `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 30)
+    mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
+
+
+_keep_heap()  # once, at import: every entry point imports this module before it builds a model
 
 
 class Tensor:

@@ -216,8 +216,10 @@ class Sgd:
                 continue
             if self.weight_decay:
                 g = g + self.weight_decay * p.tensor.data
-            v = self.momentum * self._velocity[p.name] + g
-            self._velocity[p.name] = v
+            v = self._velocity[p.name]
+            v *= self.momentum
+            v += g
+            # not in place: a loaded parameter may be a read-only view
             p.tensor.data = p.tensor.data - self.lr * v
 
 
@@ -245,11 +247,14 @@ class AdamW:
             g = p.tensor.grad
             if g is None:
                 continue
-            m = b1 * self._m[p.name] + (1.0 - b1) * g
-            v = b2 * self._v[p.name] + (1.0 - b2) * g * g
-            self._m[p.name] = m
-            self._v[p.name] = v
+            # in place, in the order of b1*m + (1-b1)*g and b2*v + (1-b2)*g*g: same bits
+            m, v = self._m[p.name], self._v[p.name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += ((1.0 - b2) * g) * g
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            # not in place: a loaded parameter may be a read-only view
             p.tensor.data = p.tensor.data - self.lr * (update + self.weight_decay * p.tensor.data)
 
 

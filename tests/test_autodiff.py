@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,18 +85,48 @@ class TestBackward:
         backward(tape, loss)
         assert w.grad is not None and w.grad.shape == w.shape
 
-    def test_result_is_keyed_by_the_tensors_and_intermediates_get_grad(self):
+    def test_result_is_keyed_by_the_leaves_and_intermediates_get_no_grad(self):
         x = Tensor([1.0, 2.0])
         with Tape() as tape:
             h = x * 3.0
             hh = h * h
             loss = hh.sum()
         grads = backward(tape, loss)
-        assert list(map(id, grads)) == [id(loss), id(hh), id(h), id(x)]
-        for t in (loss, hh, h, x):
-            assert grads[t] is t.grad
-        assert np.array_equal(h.grad, 2.0 * h.data)
+        assert list(map(id, grads)) == [id(x)]
+        assert grads[x] is x.grad
+        for t in (loss, hh, h):
+            assert t.grad is None
         assert np.array_equal(x.grad, 18.0 * x.data)
+
+    def test_second_pass_over_one_tape_gives_equal_leaf_gradients(self):
+        x = Tensor(Rng(8).normal((3, 4)))
+        w = Tensor(Rng(9).normal((4, 5)))
+        with Tape() as tape:
+            h = gelu(matmul(x, w))
+            loss = (h * h).sum()
+        first = {t: g.copy() for t, g in backward(tape, loss).items()}
+        second = backward(tape, loss)
+        assert {id(t) for t in second} == {id(t) for t in first} == {id(x), id(w)}
+        for t, g in first.items():
+            assert np.array_equal(second[t], g)
+        assert h.grad is None
+
+    def test_each_gradient_is_freed_once_consumed(self):
+        # 16 intermediate gradients of 1 MiB each; at most two are alive at a time
+        x = Tensor(np.ones(2 ** 17))
+        with Tape() as tape:
+            y = x
+            for _ in range(16):
+                y = y * 1.0001
+            loss = y.sum()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 3 * 2 ** 20
 
     def test_batch_sum_equals_per_sample_sum(self):
         rng = Rng(6)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from skattn import (BlockConfig, ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
                     load_checkpoint, load_idx_images, save_checkpoint)
@@ -39,6 +41,24 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "model.skaf" in manifest["artifacts"]
         assert "runlog.csv" in manifest["artifacts"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["sweep", "--heads", "4"], ["ablate", "--activations", "softmax"],
+    ], ids=["train", "sweep", "ablate"])
+    def test_manifest_records_versions_seed_and_config_hash(self, tmp_path, argv):
+        out = tmp_path / "run"
+        assert run(*argv, *FAST_TRAIN, "--seed", "5", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = load_config(None, FAST_TRAIN[1::2], seed=5)
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+        assert manifest["seed"] == 5
+        assert manifest["config_sha256"] == hashlib.sha256(canonical).hexdigest()
+        if argv[0] == "train":  # the echoed config is the one hashed
+            echo = json.loads((out / "config.json").read_text())
+            assert json.dumps(echo, sort_keys=True, separators=(",", ":")).encode() == canonical
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
+                                        "blas": f"{blas['name']} {blas['version']}"}
 
     def test_determinism_across_invocations(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -284,6 +286,41 @@ class TestCheckpoint:
 
         monkeypatch.setattr(struct, "pack", pack_until_disk_full)
         with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(toy_model_config(kind="cska"), seed=1), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.skaf"]
+
+    def test_fsyncs_the_file_then_replaces_then_fsyncs_the_directory(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.skaf"
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync dir",) if stat.S_ISDIR(st.st_mode) else ("fsync file", st.st_size))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace",))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        # the file is fsynced whole: every byte is written out before the fsync
+        assert events == [("fsync file", path.stat().st_size), ("replace",), ("fsync dir",)]
+
+    def test_failed_fsync_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.skaf"
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        old = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
             save_checkpoint(build_model(toy_model_config(kind="cska"), seed=1), path)
         monkeypatch.undo()
         assert path.read_bytes() == old

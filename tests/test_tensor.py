@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -451,3 +452,27 @@ class TestRng:
         chunks = np.concatenate([a.uniform((3,)), a.uniform((5,))])
         whole = Rng(9).uniform((8,))
         assert np.array_equal(chunks, whole)
+
+
+class TestKeepHeap:
+    def test_sets_the_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(tz.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        tz._keep_heap()
+        assert calls == [(-3, 2 ** 30), (-1, 2 ** 31 - 1)]
+
+    def test_silent_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(tz.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert tz._keep_heap() is None
+
+    def test_silent_no_op_without_a_c_library(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(tz.ctypes, "CDLL", no_libc)
+        assert tz._keep_heap() is None

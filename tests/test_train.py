@@ -189,6 +189,41 @@ class TestOptimizers:
             opt.step()
             assert np.abs(w.data - history[t][0]).max() < 1e-12
 
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+    def test_twenty_steps_bit_identical_to_the_written_out_update(self, optimizer):
+        lr, betas, eps, decay, momentum = 3e-2, (0.9, 0.999), 1e-8, 0.05, 0.9
+        rng = Rng(9)
+        inits = [rng.normal((4, 4)), rng.normal((7,)), rng.normal((2, 3, 5))]
+        steps = [[rng.normal((4, 4)), np.broadcast_to(rng.normal((1,)), (7,)),
+                  rng.normal((2, 3, 5))] for _ in range(20)]
+        tensors = [Tensor(x.copy()) for x in inits]
+        tensors[0].data.flags.writeable = False  # as a loaded parameter may be
+        params = [Parameter(f"p{i}", t) for i, t in enumerate(tensors)]
+        if optimizer == "adamw":
+            opt = AdamW(params, lr=lr, betas=betas, eps=eps, weight_decay=decay)
+        else:
+            opt = Sgd(params, lr=lr, momentum=momentum, weight_decay=decay)
+
+        want = [x.copy() for x in inits]
+        m = [np.zeros_like(x) for x in inits]
+        v = [np.zeros_like(x) for x in inits]
+        b1, b2 = betas
+        for t, grads in enumerate(steps, start=1):
+            for tensor, g in zip(tensors, grads):
+                tensor.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                if optimizer == "adamw":
+                    m[i] = b1 * m[i] + (1.0 - b1) * g
+                    v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                    update = (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+                    want[i] = want[i] - lr * (update + decay * want[i])
+                else:
+                    v[i] = momentum * v[i] + (g + decay * want[i])
+                    want[i] = want[i] - lr * v[i]
+        for tensor, w in zip(tensors, want):
+            assert np.array_equal(tensor.data, w)
+
     def test_clip_grad_norm(self):
         w = Tensor(np.zeros((3,)))
         w.grad = np.array([3.0, 4.0, 0.0])
