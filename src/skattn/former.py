@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .autodiff import Module
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, NumericsError
 from .mixers import MixerConfig, TokenMixer, build_mixer
 from .tensor import Rng, Tensor
 
@@ -285,6 +285,42 @@ class Model(Module):
         return tokens
 
     def forward(self, images, attn_sink: list | None = None) -> Tensor:
+        """The logits of `_forward`, with one finite check when `finite_checks`
+        is on: the images and every parameter are scanned once, the forward
+        runs with per-op scans off and numpy's floating-point flags raising,
+        and the logits are scanned once. After a raised flag or non-finite
+        logits, the active tape, `attn_sink` and MAC counters are rolled back
+        and the forward is replayed with per-op scans on, which name the first
+        op that made a non-finite value."""
+        if not T._FINITE_CHECKS[0]:
+            return self._forward(images, attn_sink)
+        x = images if isinstance(images, Tensor) else Tensor(images)
+        leaves = [("input images", x)] + [(f"parameter '{p.name}'", p.tensor)
+                                          for p in self.named_parameters()]
+        for what, t in leaves:
+            if not np.isfinite(t.data).all():
+                raise NumericsError(f"non-finite values in {what}")
+        entries = T._TAPES[-1].entries if T._TAPES else []
+        n_entries, n_maps = len(entries), len(attn_sink or ())
+        macs = [counter.macs for counter in T._MAC_COUNTERS]
+        try:
+            with T.finite_checks(False), np.errstate(over="raise", invalid="raise", divide="raise"):
+                out = self._forward(x, attn_sink)
+            if np.isfinite(out.data).all():
+                return out
+        except FloatingPointError:
+            pass
+        del entries[n_entries:]
+        if attn_sink is not None:
+            del attn_sink[n_maps:]
+        for counter, n in zip(T._MAC_COUNTERS, macs):
+            counter.macs = n
+        out = self._forward(x, attn_sink)
+        if not np.isfinite(out.data).all():
+            raise NumericsError("non-finite values in the model output")
+        return out
+
+    def _forward(self, images, attn_sink: list | None = None) -> Tensor:
         tokens = self.embed(images)
         for s, stage in enumerate(self.stages):
             if s > 0:

@@ -169,7 +169,15 @@ class MacCounter:
 
 
 class finite_checks:
-    """Context manager toggling NaN/Inf detection after each primitive."""
+    """Context manager toggling NaN/Inf detection (on by default).
+
+    A primitive or module called directly scans each output it computes and
+    raises NumericsError naming the op. A model forward (`former.Model`)
+    scans its images and parameters once, runs with numpy's floating-point
+    flags raising and per-op scans off, and scans its logits once; after a
+    raised flag or non-finite logits it replays with per-op scans on, to name
+    the op.
+    """
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
@@ -393,20 +401,24 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     wo = (W + 2 * padding - k) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"unfold: kernel {k} too large for input {H}x{W} with padding {padding}")
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    xg = xp.reshape(B, groups, C // groups, xp.shape[2], xp.shape[3])
-    cols = np.empty((B, groups, C // groups, k, k, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i, j] = xg[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    hp, wp = H + 2 * padding, W + 2 * padding
+    xp = xd
+    if padding:
+        xp = np.zeros((B, C, hp, wp))
+        xp[:, :, padding:padding + H, padding:padding + W] = xd
+    sb, sc, sh, sw = xp.strides
+    # [B, C, k, k, H', W'] windows, copied once; C splits into (G, C/G) for free
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False).copy()
+    group_shape = (B, groups, C // groups)
 
     def bwd(g):
-        g6 = g.reshape(cols.shape)
-        gxp = np.zeros_like(xg)
+        g6 = g.reshape(group_shape + (k, k, ho, wo))
+        gxp = np.zeros(group_shape + (hp, wp))
         for i in range(k):
             for j in range(k):
                 gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
-        return (gxp.reshape(xp.shape)[:, :, padding:padding + H, padding:padding + W],)
+        return (gxp.reshape(B, C, hp, wp)[:, :, padding:padding + H, padding:padding + W],)
 
     return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
 

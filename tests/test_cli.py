@@ -202,6 +202,17 @@ class TestAttnmapCommand:
         notes = json.loads((out / "manifest.json").read_text())["notes"]
         assert any("sepconv" in n for n in notes)
 
+    def test_nan_parameter_exits_1_naming_its_path(self, tmp_path, capsys):
+        cfg = ModelConfig(input=(1, 8, 8), patch=2, num_classes=2, mlp_ratio=2.0,
+                          stages=[{"kind": "ska", "depth": 1, "dim": 8, "heads": 2}])
+        model = build_model(cfg, seed=0)
+        table = {p.name: p.tensor for p in model.named_parameters()}
+        table["stage0.block0.mlp.fc1_w"].data[1, 2] = np.nan
+        ckpt = tmp_path / "model.skaf"
+        save_checkpoint(model, ckpt)
+        assert run("attnmap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "m")) == 1
+        assert "'stage0.block0.mlp.fc1_w'" in capsys.readouterr().err
+
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys):
         path = self._checkpoint(tmp_path)
         blob = path.read_bytes()

@@ -6,10 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MixerConfig,
-                    Module, NumericsError, Rng, Tensor, attention_trace, build_model,
+from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MacCounter, MixerConfig,
+                    Module, NumericsError, Rng, Tape, Tensor, attention_trace, build_model,
                     canonical_kind, count_parameters, finite_checks, grad_check,
-                    load_checkpoint, ModelConfig, save_checkpoint)
+                    load_checkpoint, Model, ModelConfig, save_checkpoint)
 from oracles import brute_conv2d
 
 
@@ -234,6 +234,101 @@ class TestFiniteChecksInModels:
                 model(x)
             p.tensor.data = good
         model(x)
+
+
+def _nan_model(name):
+    cfg = ModelConfig(num_classes=2, mlp_ratio=1.0, **_NAN_CONFIGS[name])
+    return build_model(cfg, seed=0), Rng(1).normal((2, *cfg.input))
+
+
+class TestCheckedForward:
+    """A model forward under `finite_checks(True)` scans its leaves and its
+    logits once and replays with per-op scans only to name a failure."""
+
+    @pytest.mark.parametrize("name", list(_NAN_CONFIGS))
+    def test_nan_parameter_is_named(self, name):
+        model, x = _nan_model(name)
+        for p in model.named_parameters():
+            good = p.tensor.data
+            bad = good.copy()
+            bad.flat[bad.size // 2] = np.nan
+            p.tensor.data = bad
+            with finite_checks(True), pytest.raises(NumericsError) as info:
+                model(x)
+            assert f"'{p.name}'" in str(info.value)
+            p.tensor.data = good
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_named(self, bad):
+        model, x = _nan_model("ska")
+        x[1, 0, 2, 3] = bad
+        with finite_checks(True), pytest.raises(NumericsError, match="input images"):
+            model(Tensor(x))
+
+    @pytest.mark.parametrize("name", list(_NAN_CONFIGS))
+    def test_overflow_from_finite_leaves_names_the_per_op_culprit(self, name):
+        model, x = _nan_model(name)
+        model.norm.beta.data = np.full_like(model.norm.beta.data, 1e200)
+        model.head_w.data = model.head_w.data * 1e200
+        with np.errstate(all="ignore"), finite_checks(True):
+            with pytest.raises(NumericsError) as per_op:
+                model._forward(x)  # every op scanned, as before the checked forward
+            with pytest.raises(NumericsError) as checked:
+                model(x)
+        assert str(checked.value) == str(per_op.value)
+        assert "produced by 'matmul'" in str(checked.value)
+
+    @pytest.mark.parametrize("name", list(_NAN_CONFIGS))
+    def test_checks_change_no_output_count_or_record(self, name):
+        model, x = _nan_model(name)
+        runs = []
+        for on in (True, False):
+            sink = []
+            with finite_checks(on), Tape() as tape, MacCounter() as counter:
+                logits = model(x, attn_sink=sink)
+            with finite_checks(on):
+                maps = model.attention_maps(x)
+            runs.append((logits.data, counter.macs, len(tape), sink, maps))
+        (a, macs_a, len_a, sink_a, maps_a), (b, macs_b, len_b, sink_b, maps_b) = runs
+        assert np.array_equal(a, b) and macs_a == macs_b and len_a == len_b
+        attention_blocks = sum(kind != "sepconv" for _, kind, _ in maps_a)
+        assert len(sink_a) == len(sink_b) == attention_blocks
+        assert all(np.array_equal(p, q) for p, q in zip(sink_a, sink_b))
+        assert [(n, k) for n, k, _ in maps_a] == [(n, k) for n, k, _ in maps_b]
+        assert all((p is None and q is None) or np.array_equal(p, q)
+                   for (_, _, p), (_, _, q) in zip(maps_a, maps_b))
+
+    def test_floating_point_error_replays_and_rolls_back(self, monkeypatch):
+        model, x = _nan_model("dwconv-cska-attn")
+        with finite_checks(False), Tape() as tape, MacCounter() as counter:
+            want = model(x, attn_sink=[]).data
+        want_len, want_macs = len(tape), counter.macs
+        forward = Model._forward
+        calls = []
+
+        def flaky(self, images, attn_sink=None):
+            out = forward(self, images, attn_sink)
+            calls.append(len(attn_sink))
+            if len(calls) == 1:  # the first pass has taped, counted and sunk all it would
+                raise FloatingPointError("spurious flag")
+            return out
+
+        monkeypatch.setattr(Model, "_forward", flaky)
+        sink = ["earlier map"]
+        with finite_checks(True), Tape() as tape, MacCounter() as counter:
+            got = model(x, attn_sink=sink)
+        assert calls == [3, 3]  # the replay started from the rolled-back sink
+        assert np.array_equal(got.data, want)
+        assert len(tape) == want_len and counter.macs == want_macs
+        assert sink[0] == "earlier map" and len(sink) == 3
+        assert tape.entries[-1][0] is got
+
+    def test_non_finite_output_of_a_clean_replay_is_named(self, monkeypatch):
+        model, x = _nan_model("ska")
+        monkeypatch.setattr(Model, "_forward",
+                            lambda self, images, attn_sink=None: Tensor(np.array([[np.nan, 0.0]])))
+        with finite_checks(True), pytest.raises(NumericsError, match="model output"):
+            model(x)
 
 
 class TestCountParameters:

@@ -80,3 +80,29 @@ def test_shape_errors(shape, seed, fault):
         unfold(Tensor(x), k, stride=stride, padding=padding, groups=g)
     with pytest.raises(ShapeError):
         conv2d_grouped(Tensor(x), Tensor(wt), stride=stride, padding=padding, groups=g)
+
+
+def _unfold_by_offsets(xd, k, stride, padding, groups):
+    """The k^2 strided slice assignments `unfold` was first written as."""
+    b, c, h, w = xd.shape
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xg = xp.reshape(b, groups, c // groups, xp.shape[2], xp.shape[3])
+    cols = np.empty((b, groups, c // groups, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, :, i, j] = xg[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(b, groups, -1, ho * wo)
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(0, 2 ** 32), st.integers(1, 2), st.booleans())
+def test_unfold_equals_the_slice_loop(shape, seed, stride, strided_input):
+    # bit for bit, on contiguous inputs and on strided views alike
+    b, c, g, _, h, w, k, _, padding = shape
+    xd = _arrays(shape, seed)[0]
+    if strided_input:
+        xd = np.ascontiguousarray(xd.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    got = unfold(Tensor(xd), k, stride=stride, padding=padding, groups=g).data
+    want = _unfold_by_offsets(xd, k, stride, padding, g)
+    assert got.shape == want.shape and np.array_equal(got, want)
