@@ -276,7 +276,8 @@ class Model(Module):
         c, h, w = self.cfg.input
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ConfigError(f"expected images [B, {c}, {h}, {w}], got {x.shape}")
-        x = T.conv2d_grouped(x, self.stem_w, self.stem_b, stride=self.cfg.patch, padding=0)
+        # the images as a plain array: they are data, so no gradient is computed for them
+        x = T.conv2d_grouped(x.data, self.stem_w, self.stem_b, stride=self.cfg.patch, padding=0)
         b, d0 = x.shape[0], x.shape[1]
         tokens = x.reshape(b, d0, x.shape[2] * x.shape[3]).transpose(0, 2, 1) + self.pos
         if self.cls is not None:

@@ -3,10 +3,10 @@
 Every operation here is a pure function from input tensors to an output
 tensor. When a `Tape` is active the operation also records a backward rule,
 so reverse-mode differentiation (see `autodiff`) can replay the tape. MACs
-(multiply-accumulates) are tallied into any active `MacCounter` by `matmul`
-(a convolution is `unfold` + `matmul`) and by the fused `attention` entry,
-which counts both of its products (queries times keys, weights times
-values); everything else counts as zero.
+(multiply-accumulates) are tallied into any active `MacCounter` by `matmul`,
+by `conv2d_grouped` (the matmul of its weight with the input's windows) and
+by the fused `attention` entry, which counts both of its products (queries
+times keys, weights times values); everything else counts as zero.
 
 Ops that only move values (`_MOVE_OPS`) may return numpy's strided or
 read-only views, and no op writes into its inputs. Broadcasting follows
@@ -154,7 +154,7 @@ class Tape:
 
 
 class MacCounter:
-    """Accumulates the multiply-accumulates of matmul and attention while active."""
+    """Accumulates the multiply-accumulates of matmul, conv2d_grouped and attention while active."""
 
     def __init__(self):
         self.macs = 0
@@ -384,6 +384,29 @@ def matmul(a, b) -> Tensor:
                          lambda g, ad: np.matmul(np.swapaxes(ad, -1, -2), g))
 
 
+def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.ndarray:
+    """The k x k windows of the zero-padded [B, C, H, W] array `xd`, copied
+    once from a strided view as [B, C, k, k, H', W'], with
+    H' = (H + 2*padding - k) // stride + 1."""
+    B, C, H, W = xd.shape
+    ho = (H + 2 * padding - k) // stride + 1
+    wo = (W + 2 * padding - k) // stride + 1
+    if ho <= 0 or wo <= 0:
+        raise ShapeError(f"{op}: kernel {k} too large for input {H}x{W} with padding {padding}")
+    xp = xd
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = xd
+    sb, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False).copy()
+
+
+# `unfold`'s backward copies its gradient in chunks of batch rows of about
+# this many bytes (at least one row each)
+_UNFOLD_CHUNK_BYTES = 1 << 20
+
+
 def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """The k x k windows of a zero-padded [B, C, H, W] image as matmul columns
     [B, G, C/G*k*k, H'*W'], H' = (H + 2*padding - k) // stride + 1 (im2col:
@@ -397,27 +420,22 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     B, C, H, W = xd.shape
     if C % groups:
         raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
-    ho = (H + 2 * padding - k) // stride + 1
-    wo = (W + 2 * padding - k) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"unfold: kernel {k} too large for input {H}x{W} with padding {padding}")
+    cols = _windows(xd, k, stride, padding, "unfold")  # C splits into (G, C/G) for free
+    ho, wo = cols.shape[-2:]
     hp, wp = H + 2 * padding, W + 2 * padding
-    xp = xd
-    if padding:
-        xp = np.zeros((B, C, hp, wp))
-        xp[:, :, padding:padding + H, padding:padding + W] = xd
-    sb, sc, sh, sw = xp.strides
-    # [B, C, k, k, H', W'] windows, copied once; C splits into (G, C/G) for free
-    cols = np.lib.stride_tricks.as_strided(
-        xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False).copy()
     group_shape = (B, groups, C // groups)
 
     def bwd(g):
-        g6 = g.reshape(group_shape + (k, k, ho, wo))
         gxp = np.zeros(group_shape + (hp, wp))
-        for i in range(k):
-            for j in range(k):
-                gxp[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
+        # cska's windows gradient arrives as a transposed view: the adds read a
+        # C-order copy of it, made a few batch rows at a time to keep it small
+        step = max(1, _UNFOLD_CHUNK_BYTES // max(1, g[:1].nbytes))
+        for lo in range(0, B, step):
+            g6 = np.ascontiguousarray(g[lo:lo + step]).reshape((-1,) + group_shape[1:] + (k, k, ho, wo))
+            gx = gxp[lo:lo + step]
+            for i in range(k):
+                for j in range(k):
+                    gx[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
         return (gxp.reshape(B, C, hp, wp)[:, :, padding:padding + H, padding:padding + W],)
 
     return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
@@ -425,33 +443,72 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
 
 def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2D convolution with zero padding.
+    """Grouped 2D convolution with zero padding, as one taped entry.
 
     x: [B, C_in, H, W]; weight: [C_out, C_in/groups, k, k]; bias: [C_out].
     Output [B, C_out, H', W'] with H' = (H + 2*padding - k) // stride + 1.
-    Each output group reads only its own input group. It is `unfold`, then
-    one `matmul` of the weight as [G, C_out/G, C_in/G*k*k] with the columns
-    (out_elems * (C_in/groups) * k^2 MACs), a reshape and the bias `add`.
+    Each output group reads only its own input group. The forward copies the
+    input's windows once (as `unfold` does) and takes one matmul of the
+    weight as [G, C_out/G, C_in/G*k*k] with them, then adds the bias:
+    out_elems * (C_in/groups) * k^2 MACs. Output, weight and bias gradients
+    equal those of the unfold -> matmul -> reshape -> add chain bit for bit.
+
+    The input gradient is the transposed convolution (Dumoulin & Visin,
+    arXiv 1603.07285): the output gradient, dilated by the stride and placed
+    k-1-padding cells in, correlated with the kernel flipped in both spatial
+    axes and transposed within each group. It sums the same products as the
+    chain's column-gradient scatter in another order, so it agrees with it
+    to rounding (tested to 1e-12 relative).
     """
     xd, wd = _data(x), _data(weight)
     if xd.ndim != 4:
         raise ShapeError(f"conv2d: input must be [B, C, H, W], got {xd.shape}")
     if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
         raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k], got {wd.shape}")
-    B, cin, H, _ = xd.shape
+    B, cin, H, W = xd.shape
     cout, cg, k, _ = wd.shape
     if cin % groups or cout % groups:
         raise ShapeError(f"conv2d: channels ({cin} in, {cout} out) not divisible by groups={groups}")
     if cg != cin // groups:
         raise ShapeError(f"conv2d: weight expects {cg} channels/group but input provides {cin // groups}")
-    if bias is not None and _data(bias).shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {_data(bias).shape} != ({cout},)")
-    cols = unfold(x, k, stride=stride, padding=padding, groups=groups)
-    out = matmul(reshape(weight, (groups, cout // groups, cg * k * k)), cols)
-    out = reshape(out, (B, cout, (H + 2 * padding - k) // stride + 1, -1))
-    if bias is not None:
-        out = add(out, reshape(bias, (cout, 1, 1)))
-    return out
+    bd = None if bias is None else _data(bias)
+    if bd is not None and bd.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {bd.shape} != ({cout},)")
+    cols = _windows(xd, k, stride, padding, "conv2d")
+    ho, wo = cols.shape[-2:]
+    cols = cols.reshape(B, groups, cg * k * k, ho * wo)
+    cog = cout // groups
+    w3 = wd.reshape(groups, cog, cg * k * k)
+    _add_macs(B * groups * cog * cg * k * k * ho * wo)
+    out = np.matmul(w3, cols).reshape(B, cout, ho, wo)
+    if bd is not None:
+        out = out + bd.reshape(cout, 1, 1)
+
+    def bwd(g):
+        grads = []
+        if isinstance(x, Tensor):
+            # the stride-dilated gradient starts k-1 cells into `frame`; the
+            # windows are read from `padding` cells in, so they see it k-1-padding
+            # cells in (cropped where that is negative)
+            hg, wg = H + padding + max(k - 1, padding), W + padding + max(k - 1, padding)
+            frame = np.zeros((B, cout, hg, wg))
+            frame[:, :, k - 1:k + stride * (ho - 1):stride, k - 1:k + stride * (wo - 1):stride] = g
+            gcols = _windows(frame[:, :, padding:padding + H + k - 1, padding:padding + W + k - 1],
+                             k, 1, 0, "conv2d")
+            # [G, C_in/G, C_out/G*k*k]: flipped, transposed per group, C-contiguous for BLAS
+            flipped = np.ascontiguousarray(
+                wd.reshape(groups, cog, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4))
+            dx = np.matmul(flipped.reshape(groups, cg, cog * k * k),
+                           gcols.reshape(B, groups, cog * k * k, H * W))
+            grads.append(dx.reshape(B, cin, H, W))
+        if isinstance(weight, Tensor):
+            dw = np.matmul(g.reshape(B, groups, cog, ho * wo), np.swapaxes(cols, -1, -2))
+            grads.append(_unbroadcast(dw, w3.shape).reshape(wd.shape))
+        if isinstance(bias, Tensor):
+            grads.append(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
+        return tuple(grads)
+
+    return _make(out, "conv2d_grouped", (x, weight, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

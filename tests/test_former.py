@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MacCounter, MixerConfig,
-                    Module, NumericsError, Rng, Tape, Tensor, attention_trace, build_model,
-                    canonical_kind, count_parameters, finite_checks, grad_check,
-                    load_checkpoint, Model, ModelConfig, save_checkpoint)
+                    Module, NumericsError, Rng, Tape, Tensor, attention_trace, backward,
+                    build_model, canonical_kind, count_parameters, cross_entropy,
+                    finite_checks, grad_check, load_checkpoint, Model, ModelConfig,
+                    save_checkpoint)
 from oracles import brute_conv2d
 
 
@@ -84,6 +85,16 @@ class TestModel:
                             down.w.data, down.b.data, stride=2)
         got = down(Tensor(tokens), (4, 6)).data
         assert rel_err(got, want.reshape(2, 6, 6).transpose(0, 2, 1)) <= 1e-12
+
+    def test_backward_reaches_the_parameters_and_not_the_images(self):
+        cfg = toy_model_config(stages=[_stage("sepconv", heads=1), _stage("ska")])
+        model = build_model(cfg, seed=1)
+        images = Tensor(Rng(2).normal((2, 1, 8, 8)))
+        with Tape() as tape:
+            loss = cross_entropy(model(images), np.array([0, 1]))
+        grads = backward(tape, loss)
+        assert set(map(id, grads)) == {id(p.tensor) for p in model.named_parameters()}
+        assert images.grad is None
 
     def test_same_seed_identical_logits(self):
         cfg = toy_model_config()

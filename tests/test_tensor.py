@@ -94,6 +94,19 @@ def composed_attention(q, k, v, scale=1.0, bias=None, sink=None):
     return matmul(attn, v)
 
 
+def composed_conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
+    """The unfused reference for `conv2d_grouped`: unfold -> matmul of the
+    weight as [G, C_out/G, C_in/G*k*k] -> reshape -> add(bias)."""
+    b, _, h, _ = tz._data(x).shape
+    cout, cg, k, _ = tz._data(weight).shape
+    cols = tz.unfold(x, k, stride=stride, padding=padding, groups=groups)
+    out = matmul(tz.reshape(weight, (groups, cout // groups, cg * k * k)), cols)
+    out = tz.reshape(out, (b, cout, (h + 2 * padding - k) // stride + 1, -1))
+    if bias is not None:
+        out = tz.add(out, tz.reshape(bias, (cout, 1, 1)))
+    return out
+
+
 def _grads(f, inputs, w):
     with Tape() as tape:
         out = f(*inputs)

@@ -1,4 +1,4 @@
-"""Property tests of `unfold` and the convolution built on it, over random
+"""Property tests of `unfold` and `conv2d_grouped`, over random
 shapes drawn by hypothesis (derandomized, so every run draws the same
 examples)."""
 
@@ -9,8 +9,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from skattn import MacCounter, Rng, ShapeError, Tape, Tensor, backward, conv2d_grouped
+from skattn import tensor as tz
 from skattn.tensor import unfold
 from oracles import brute_conv2d
+from test_tensor import composed_conv2d
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -106,3 +108,61 @@ def test_unfold_equals_the_slice_loop(shape, seed, stride, strided_input):
     got = unfold(Tensor(xd), k, stride=stride, padding=padding, groups=g).data
     want = _unfold_by_offsets(xd, k, stride, padding, g)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_unfold_backward_is_the_same_in_any_chunking(monkeypatch):
+    # a transposed-view gradient, as cska's windows get it, scattered in one
+    # chunk and one batch row at a time
+    x = Tensor(Rng(3).normal((5, 6, 7, 6)))
+    with Tape() as tape:
+        cols = unfold(x, 3, stride=2, padding=1, groups=2)
+    (_, _, bwd), = tape.entries
+    g = np.ascontiguousarray(Rng(4).normal(cols.shape).swapaxes(-1, -2)).swapaxes(-1, -2)
+    (whole,) = bwd(g)
+    monkeypatch.setattr(tz, "_UNFOLD_CHUNK_BYTES", 1)
+    (rows,) = bwd(g)
+    assert np.array_equal(whole, rows)
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(0, 2 ** 32), st.booleans())
+def test_conv_entry_matches_the_unfold_chain(shape, seed, with_bias):
+    # one tape entry; forward, weight and bias gradients and MACs equal the
+    # chain's bit for bit, and the input gradient agrees to rounding
+    _, _, g, _, _, _, _, stride, padding = shape
+    x, wt, bias = _arrays(shape, seed)
+
+    def run(conv):
+        inputs = [Tensor(x), Tensor(wt)] + ([Tensor(bias)] if with_bias else [])
+        with Tape() as tape:
+            with MacCounter() as counter:
+                out = conv(*inputs, stride=stride, padding=padding, groups=g)
+            entries = len(tape)
+            loss = (out * Rng(seed + 1).normal(out.shape)).sum()
+        grads = backward(tape, loss)
+        return out.data, [grads[t] for t in inputs], counter.macs, entries
+
+    got, got_grads, got_macs, entries = run(conv2d_grouped)
+    want, want_grads, want_macs, _ = run(composed_conv2d)
+    assert entries == 1
+    assert np.array_equal(got, want) and got_macs == want_macs
+    assert all(np.array_equal(a, b) for a, b in zip(got_grads[1:], want_grads[1:]))
+    assert np.abs(got_grads[0] - want_grads[0]).max() <= 1e-12 * np.abs(want_grads[0]).max()
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(0, 2 ** 32))
+def test_conv_input_gradient_is_the_adjoint(shape, seed):
+    # <conv(x, w), y> = <x, dx(y)>, with conv the brute-force loops and dx the
+    # taped backward, bias-free; rounding is bounded by the sum of |products|
+    _, _, g, _, _, _, _, stride, padding = shape
+    x, wt, _ = _arrays(shape, seed)
+    with Tape() as tape:
+        out = conv2d_grouped(Tensor(x), wt, stride=stride, padding=padding, groups=g)
+    (_, _, bwd), = tape.entries
+    y = Rng(seed + 1).normal(out.shape)
+    (dx,) = bwd(y)
+    lhs = float((brute_conv2d(x, wt, stride=stride, padding=padding, groups=g) * y).sum())
+    scale = float((brute_conv2d(np.abs(x), np.abs(wt), stride=stride, padding=padding,
+                                groups=g) * np.abs(y)).sum())
+    assert abs(lhs - float((x * dx).sum())) <= 1e-12 * scale
