@@ -384,22 +384,29 @@ def matmul(a, b) -> Tensor:
                          lambda g, ad: np.matmul(np.swapaxes(ad, -1, -2), g))
 
 
-def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.ndarray:
-    """The k x k windows of the zero-padded [B, C, H, W] array `xd`, copied
-    once from a strided view as [B, C, k, k, H', W'], with
-    H' = (H + 2*padding - k) // stride + 1."""
-    B, C, H, W = xd.shape
+def _out_extent(H: int, W: int, k: int, stride: int, padding: int, op: str) -> tuple[int, int]:
+    """(H', W') with H' = (H + 2*padding - k) // stride + 1; ShapeError when
+    the kernel does not fit the padded input."""
     ho = (H + 2 * padding - k) // stride + 1
     wo = (W + 2 * padding - k) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"{op}: kernel {k} too large for input {H}x{W} with padding {padding}")
+    return ho, wo
+
+
+def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.ndarray:
+    """The k x k windows of the zero-padded [B, C, H, W] array `xd`, as a
+    read-only strided view [B, C, k, k, H', W'] of it (of a zero-padded copy
+    when padding is nonzero). Callers copy what they keep."""
+    B, C, H, W = xd.shape
+    ho, wo = _out_extent(H, W, k, stride, padding, op)
     xp = xd
     if padding:
         xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
         xp[:, :, padding:padding + H, padding:padding + W] = xd
     sb, sc, sh, sw = xp.strides
     return np.lib.stride_tricks.as_strided(
-        xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False).copy()
+        xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
 
 
 # `unfold`'s backward copies its gradient in chunks of batch rows of about
@@ -420,7 +427,7 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     B, C, H, W = xd.shape
     if C % groups:
         raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
-    cols = _windows(xd, k, stride, padding, "unfold")  # C splits into (G, C/G) for free
+    cols = _windows(xd, k, stride, padding, "unfold").copy()  # C splits into (G, C/G) for free
     ho, wo = cols.shape[-2:]
     hp, wp = H + 2 * padding, W + 2 * padding
     group_shape = (B, groups, C // groups)
@@ -441,24 +448,59 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
 
 
+# `conv2d_grouped` copies windows in chunks of batch rows of about this many
+# bytes (at least one row each)
+_CONV_CHUNK_BYTES = 1 << 20
+
+
+def _window_products(lhs: np.ndarray, windows, out: np.ndarray, cols: np.ndarray | None = None) -> None:
+    """out[b] = lhs @ (the windows of batch row b), for lhs [G, M, K] and out
+    [B, G, M, P], in chunks of batch rows whose windows take about
+    `_CONV_CHUNK_BYTES`. `windows(lo, hi)` gives rows lo:hi as a view whose
+    rows hold G*K*P values each; they are copied once, into `cols`
+    [B, G, K, P] when given (which then holds every window), else into one
+    chunk buffer reused by every chunk. Each matrix product is the one BLAS
+    call that a single whole-batch matmul would make for that row."""
+    B, G, _, P = out.shape
+    K = lhs.shape[-1]
+    rows = max(1, _CONV_CHUNK_BYTES // max(1, 8 * G * K * P))
+    buf = np.empty((min(rows, B), G, K, P)) if cols is None else cols
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        chunk = buf[:hi - lo] if cols is None else buf[lo:hi]
+        win = windows(lo, hi)
+        chunk.reshape(win.shape)[...] = win
+        np.matmul(lhs, chunk, out=out[lo:hi])
+
+
 def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 2D convolution with zero padding, as one taped entry.
 
     x: [B, C_in, H, W]; weight: [C_out, C_in/groups, k, k]; bias: [C_out].
     Output [B, C_out, H', W'] with H' = (H + 2*padding - k) // stride + 1.
-    Each output group reads only its own input group. The forward copies the
-    input's windows once (as `unfold` does) and takes one matmul of the
-    weight as [G, C_out/G, C_in/G*k*k] with them, then adds the bias:
+    Each output group reads only its own input group. The forward takes the
+    matmul of the weight as [G, C_out/G, C_in/G*k*k] with the input's windows
+    (as `unfold` lays them out), then adds the bias in place:
     out_elems * (C_in/groups) * k^2 MACs. Output, weight and bias gradients
     equal those of the unfold -> matmul -> reshape -> add chain bit for bit.
+
+    The windows are copied and multiplied a chunk of batch rows at a time,
+    about `_CONV_CHUNK_BYTES` of windows each (memory-efficient im2col: Cho &
+    Brand, "MEC", arXiv 1706.06873), so a chunk is still in cache when its
+    matmul reads it. The weight gradient reads every window, so they are all
+    kept only when a tape records this entry and `weight` is a Tensor;
+    otherwise (an eval forward) one chunk buffer is reused and the k^2-fold
+    copy of the input never exists. Each row's product is the same BLAS call
+    as in one whole-batch matmul, so chunking changes no bit.
 
     The input gradient is the transposed convolution (Dumoulin & Visin,
     arXiv 1603.07285): the output gradient, dilated by the stride and placed
     k-1-padding cells in, correlated with the kernel flipped in both spatial
-    axes and transposed within each group. It sums the same products as the
-    chain's column-gradient scatter in another order, so it agrees with it
-    to rounding (tested to 1e-12 relative).
+    axes and transposed within each group, built and multiplied in chunks of
+    batch rows the same way. It sums the same products as the chain's
+    column-gradient scatter in another order, so it agrees with it to
+    rounding (tested to 1e-12 relative).
     """
     xd, wd = _data(x), _data(weight)
     if xd.ndim != 4:
@@ -474,15 +516,17 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     bd = None if bias is None else _data(bias)
     if bd is not None and bd.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bd.shape} != ({cout},)")
-    cols = _windows(xd, k, stride, padding, "conv2d")
-    ho, wo = cols.shape[-2:]
-    cols = cols.reshape(B, groups, cg * k * k, ho * wo)
+    ho, wo = _out_extent(H, W, k, stride, padding, "conv2d")  # raised before any chunk, even for B = 0
     cog = cout // groups
     w3 = wd.reshape(groups, cog, cg * k * k)
     _add_macs(B * groups * cog * cg * k * k * ho * wo)
-    out = np.matmul(w3, cols).reshape(B, cout, ho, wo)
+    # dW reads every window: keep them all only when this entry is taped for a weight Tensor
+    cols = np.empty((B, groups, cg * k * k, ho * wo)) if _TAPES and isinstance(weight, Tensor) else None
+    out = np.empty((B, groups, cog, ho * wo))
+    _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k, stride, padding, "conv2d"), out, cols)
+    out = out.reshape(B, cout, ho, wo)
     if bd is not None:
-        out = out + bd.reshape(cout, 1, 1)
+        out += bd.reshape(cout, 1, 1)
 
     def bwd(g):
         grads = []
@@ -491,15 +535,18 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             # windows are read from `padding` cells in, so they see it k-1-padding
             # cells in (cropped where that is negative)
             hg, wg = H + padding + max(k - 1, padding), W + padding + max(k - 1, padding)
-            frame = np.zeros((B, cout, hg, wg))
-            frame[:, :, k - 1:k + stride * (ho - 1):stride, k - 1:k + stride * (wo - 1):stride] = g
-            gcols = _windows(frame[:, :, padding:padding + H + k - 1, padding:padding + W + k - 1],
-                             k, 1, 0, "conv2d")
+
+            def dilated_windows(lo, hi):
+                frame = np.zeros((hi - lo, cout, hg, wg))
+                frame[:, :, k - 1:k + stride * (ho - 1):stride, k - 1:k + stride * (wo - 1):stride] = g[lo:hi]
+                return _windows(frame[:, :, padding:padding + H + k - 1, padding:padding + W + k - 1],
+                                k, 1, 0, "conv2d")
+
             # [G, C_in/G, C_out/G*k*k]: flipped, transposed per group, C-contiguous for BLAS
             flipped = np.ascontiguousarray(
                 wd.reshape(groups, cog, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4))
-            dx = np.matmul(flipped.reshape(groups, cg, cog * k * k),
-                           gcols.reshape(B, groups, cog * k * k, H * W))
+            dx = np.empty((B, groups, cg, H * W))
+            _window_products(flipped.reshape(groups, cg, cog * k * k), dilated_windows, dx)
             grads.append(dx.reshape(B, cin, H, W))
         if isinstance(weight, Tensor):
             dw = np.matmul(g.reshape(B, groups, cog, ho * wo), np.swapaxes(cols, -1, -2))
@@ -670,27 +717,43 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     (both of the last axis's extent).
 
     The forward runs the arithmetic of the composed mean/sub/mul/rsqrt chain
-    in its order; backward uses the closed form
-    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
-    dxhat = g * gamma, keeping only xhat, inv and gamma.
+    in its order, forming xhat and the output in place; backward uses the
+    closed form dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+    with dxhat = g * gamma, keeping only xhat, inv and gamma. Each row mean,
+    the forward's two and the backward's two, is one BLAS product of the
+    [rows, D] operand with a [D, 1] column of 1/D: numpy's reductions over
+    rows a few values wide are slow. It sums x_i * (1/D) where the chain sums
+    x_i and divides by D, so results agree with the chain to rounding (tested
+    to 1e-12).
     """
     xd, gd, bd = _data(x), _data(gamma), _data(beta)
     if xd.ndim == 0 or gd.shape != xd.shape[-1:] or bd.shape != xd.shape[-1:]:
         raise ShapeError(f"layer_norm: gamma {gd.shape} and beta {bd.shape} must both be "
                          f"the last extent of {xd.shape}")
-    centered = xd - xd.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat = centered * inv
-    out = xhat * gd + bd
+    d = xd.shape[-1]
+    rows = (math.prod(xd.shape[:-1]), d)
+    col = np.full((d, 1), 1.0 / max(d, 1))  # x @ col is the [rows, 1] row mean
+    x2 = xd.reshape(rows)
+    xhat = x2 - x2 @ col
+    inv = (xhat * xhat) @ col
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    xhat = xhat.reshape(xd.shape)
+    out = xhat * gd
+    out += bd
 
     def bwd(g):
         grads = []
         if isinstance(x, Tensor):
-            dxhat = g * gd
-            dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dxhat = g.reshape(rows) * gd
+            dx = dxhat - dxhat @ col
+            xhat2 = xhat.reshape(rows)
+            dxhat *= xhat2
+            dx -= xhat2 * (dxhat @ col)
             dx *= inv
-            grads.append(dx)
+            grads.append(dx.reshape(xd.shape))
         if isinstance(gamma, Tensor):
             grads.append(_unbroadcast(g * xhat, gd.shape))
         if isinstance(beta, Tensor):
@@ -730,7 +793,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     xd = _data(x)
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    cdf = xd * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt(2))), in place
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = xd * cdf
 
     def bwd(g):

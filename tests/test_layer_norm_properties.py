@@ -1,0 +1,76 @@
+"""Property tests of `layer_norm` over random shapes drawn by hypothesis
+(derandomized, so every run draws the same examples)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from skattn import MacCounter, Parameter, Rng, ShapeError, Tensor, grad_check, layer_norm
+from test_tensor import _composed_layer_norm, _grads
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+EPS = 1e-6
+
+
+@st.composite
+def ln_inputs(draw, narrow=True):
+    """x of a random shape, its last extent 1 or 2 too when `narrow`, some
+    transposed (non-contiguous) views; gamma, beta and an upstream weight.
+
+    Rows of two or more values are standardised to spread 1, then some are
+    shifted so that their mean is 100x their spread. A row of nearly equal
+    values amplifies every rounding of its mean by 1/spread in xhat and again
+    in dx, in the chain as here, so no fixed tolerance would hold for it.
+    """
+    lead = draw(st.lists(st.integers(1, 4), max_size=3))
+    d = draw((st.sampled_from([1, 2]) | st.integers(3, 17)) if narrow else st.integers(3, 17))
+    rng = Rng(draw(st.integers(0, 2 ** 32)))
+    x = rng.normal(tuple(lead) + (d,))
+    if d > 1:
+        x = (x - x.mean(axis=-1, keepdims=True)) / x.std(axis=-1, keepdims=True)
+    if draw(st.booleans()):
+        x = x + 100.0
+    if lead and draw(st.booleans()):  # the same values, laid out transposed
+        x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return x, rng.normal((d,)), rng.normal((d,)), rng.normal(x.shape)
+
+
+@PROPERTY
+@given(ln_inputs())
+def test_matches_the_composed_chain(inputs):
+    # the row means are BLAS products with a column of 1/D, the chain's are
+    # sums divided by D: the output and all three gradients agree to 1e-12,
+    # and a norm counts no MACs
+    x, gamma, beta, w = inputs
+    tensors = (Tensor(x), Tensor(gamma), Tensor(beta))
+    with MacCounter() as counter:
+        got, got_g = _grads(lambda *a: layer_norm(*a, EPS), tensors, w)
+    assert counter.macs == 0
+    want, want_g = _grads(lambda *a: _composed_layer_norm(*a, EPS), tensors, w)
+    assert got.shape == x.shape and np.abs(got - want).max() <= 1e-12
+    for g_fused, g_chain in zip(got_g, want_g):
+        assert g_fused.shape == g_chain.shape and np.abs(g_fused - g_chain).max() <= 1e-12
+
+
+@settings(PROPERTY, max_examples=15)
+@given(ln_inputs(narrow=False))
+def test_grad_check(inputs):
+    # last extent 3 and up: with 2, every row normalises to +-1 and dx is of
+    # the order of eps, below what central differences resolve to 1e-5
+    x, gamma, beta, w = inputs
+    tensors = [Tensor(x), Tensor(gamma), Tensor(beta)]
+    params = [Parameter(n, t) for n, t in zip(("x", "gamma", "beta"), tensors)]
+    rows = grad_check(lambda: (layer_norm(*tensors, EPS) * w).sum(), params)
+    assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
+
+
+@PROPERTY
+@given(ln_inputs(), st.sampled_from(["gamma", "beta"]), st.sampled_from([-1, 1]))
+def test_wrong_parameter_extent_raises(inputs, which, change):
+    x, gamma, beta, _ = inputs
+    d = x.shape[-1] + change  # an extent of 0 is wrong too
+    gamma, beta = (np.ones(d), beta) if which == "gamma" else (gamma, np.zeros(d))
+    with pytest.raises(ShapeError, match="layer_norm"):
+        layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), EPS)

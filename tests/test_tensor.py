@@ -1,13 +1,15 @@
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from skattn import (MacCounter, NumericsError, Parameter, Rng, ShapeError, Tape, Tensor,
-                    attention, backward, concat, conv2d_grouped, finite_checks, grad_check,
-                    layer_norm, matmul, mean, rng_normal, softmax_rows, transpose)
+                    attention, backward, concat, conv2d_grouped, finite_checks, gelu,
+                    grad_check, layer_norm, matmul, mean, rng_normal, softmax_rows, transpose)
 from skattn import tensor as tz
 from oracles import brute_conv2d
 
@@ -323,6 +325,53 @@ class TestConv2dGrouped:
         with MacCounter() as c:
             conv2d_grouped(x, w, stride=1, padding=1, groups=2)
         assert c.macs == 6 * 8 * 8 * 2 * 9
+
+    def test_empty_batch(self):
+        x = Tensor(np.zeros((0, 4, 5, 6)))
+        w = Tensor(Rng(12).normal((6, 2, 3, 3)))
+        bias = Tensor(Rng(13).normal((6,)))
+        with Tape() as tape:
+            out = conv2d_grouped(x, w, bias, stride=2, padding=1, groups=2)
+            loss = out.sum()
+        assert out.shape == (0, 6, 3, 3)
+        grads = backward(tape, loss)
+        assert grads[x].shape == (0, 4, 5, 6)
+        assert np.array_equal(grads[w], np.zeros((6, 2, 3, 3)))
+        assert np.array_equal(grads[bias], np.zeros(6))
+
+    @pytest.mark.parametrize("batch", [0, 3])
+    def test_kernel_too_large_for_any_batch(self, batch):
+        with pytest.raises(ShapeError, match="conv2d: kernel 6 too large for input 3x4 with padding 1"):
+            conv2d_grouped(Tensor(np.zeros((batch, 2, 3, 4))), Tensor(np.zeros((2, 1, 6, 6))),
+                           padding=1, groups=2)
+
+    def test_eval_forward_holds_one_chunk_of_windows(self):
+        # batch-64 depthwise k=3: the output is 1 MiB and every window 9 MiB;
+        # an untaped forward copies about 1 MiB of them at a time
+        x = Rng(14).normal((64, 8, 16, 16))
+        w, b = Tensor(Rng(15).normal((8, 1, 3, 3))), Tensor(Rng(16).normal((8,)))
+        tracemalloc.start()
+        try:
+            out = conv2d_grouped(x, w, b, padding=1, groups=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 1 << 20
+        assert peak < 3 << 20, peak
+
+
+class TestGelu:
+    def test_equals_the_erf_expression_bit_for_bit(self):
+        # the in-place forward runs the arithmetic of 0.5 * (1 + erf(x / sqrt 2))
+        x = np.concatenate([Rng(17).normal((4096,)) * 3.0, np.linspace(-40.0, 40.0, 1601)])
+        cdf = 0.5 * (1.0 + erf(x * tz._INV_SQRT2))
+        g = Rng(18).normal(x.shape)
+        xt = Tensor(x)
+        with Tape() as tape:
+            out = gelu(xt)
+        (_, _, bwd), = tape.entries
+        assert np.array_equal(out.data, x * cdf)
+        assert np.array_equal(bwd(g)[0], g * (cdf + x * (np.exp(-0.5 * x * x) * tz._INV_SQRT_2PI)))
 
 
 class TestPlumbing:

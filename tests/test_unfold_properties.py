@@ -166,3 +166,31 @@ def test_conv_input_gradient_is_the_adjoint(shape, seed):
     scale = float((brute_conv2d(np.abs(x), np.abs(wt), stride=stride, padding=padding,
                                 groups=g) * np.abs(y)).sum())
     assert abs(lhs - float((x * dx).sum())) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(conv_shapes(), st.integers(1, 5), st.integers(0, 2 ** 32), st.sampled_from([1, 1000, 4000]))
+def test_conv_is_the_same_in_any_chunking_taped_or_not(shape, batch, seed, budget):
+    # chunks of one batch row (budget 1 byte) or a few (ragged last chunk
+    # included) against the default: forward, dx, dW, dbias and MACs bit for
+    # bit; an untaped forward, which reuses one chunk buffer, equals a taped
+    # one, which keeps every window for dW
+    _, _, g, _, _, _, _, stride, padding = shape
+    x, wt, bias = _arrays((batch,) + shape[1:], seed)
+
+    def run():
+        inputs = [Tensor(x), Tensor(wt), Tensor(bias)]
+        with MacCounter() as counter:
+            untaped = conv2d_grouped(*inputs, stride=stride, padding=padding, groups=g).data
+            with Tape() as tape:
+                out = conv2d_grouped(*inputs, stride=stride, padding=padding, groups=g)
+        (_, _, bwd), = tape.entries
+        assert np.array_equal(untaped, out.data)
+        return [out.data, *bwd(Rng(seed + 1).normal(out.shape))], counter.macs
+
+    want, want_macs = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tz, "_CONV_CHUNK_BYTES", budget)
+        got, got_macs = run()
+    assert got_macs == want_macs
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
