@@ -5,14 +5,14 @@ from .autodiff import GradCheckResult, Module, Parameter, Tape, backward, grad_c
 from .complexity import ComplexityReport, closed_form, count_ops, counting_config, emit_curves
 from .errors import (AutodiffError, CheckpointError, ConfigError, DataError,
                      NumericsError, OracleError, ShapeError, SkattnError)
-from .former import (Block, BlockConfig, LayerNorm, Mlp, Model, ModelConfig, StageConfig,
+from .former import (Block, LayerNorm, Mlp, Model, ModelConfig, StageConfig,
                      build_model, canonical_kind, count_parameters, load_checkpoint,
                      save_checkpoint)
 from .mixers import (ACTIVATIONS, KINDS, Attention, MixerConfig, MixerProperties, SepConv,
                      TokenMixer, attention_trace, build_mixer, mixer_properties)
 from .tensor import (MacCounter, Rng, Tensor, attention, concat, conv2d_grouped, dropout,
                      finite_checks, gather_last, gelu, layer_norm, log_softmax_rows, matmul,
-                     mean, relu, reshape, rng_normal, slice_axis, softmax_rows, transpose)
+                     mean, relu, reshape, slice_axis, softmax_rows, transpose)
 from .train import (AdamW, Dataset, RunLog, Sgd, TrainConfig, clip_grad_norm,
                     cross_entropy, evaluate, load_idx_images, step, synth_dataset, train)
 

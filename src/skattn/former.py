@@ -24,17 +24,10 @@ import numpy as np
 from . import tensor as T
 from .autodiff import Module
 from .errors import CheckpointError, ConfigError, NumericsError
-from .mixers import MixerConfig, TokenMixer, build_mixer
+from .mixers import KINDS, MixerConfig, TokenMixer, build_mixer
 from .tensor import Rng, Tensor
 
-_KIND_ALIASES = {
-    "attn": "mhsa",
-    "mhsa": "mhsa",
-    "ska": "ska",
-    "cska": "cska",
-    "sepconv": "sepconv",
-    "dwconv": "sepconv",
-}
+_KIND_ALIASES = {**{k: k for k in KINDS}, "attn": "mhsa", "dwconv": "sepconv"}
 
 
 def canonical_kind(kind: str) -> str:
@@ -76,26 +69,17 @@ class Mlp(Module):
         return T.matmul(h, self.fc2_w) + self.fc2_b
 
 
-@dataclass
-class BlockConfig:
-    mixer: MixerConfig
-    mlp_ratio: float
-
-    def __post_init__(self):
-        if self.mlp_ratio <= 0:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
-
-
 class Block(Module):
-    """One mixer block: x + mixer(norm(x)), then x + MLP(norm(x))."""
+    """One mixer block: x + mixer(norm(x)), then x + MLP(norm(x)), the MLP
+    `mlp_ratio` times the mixer's width."""
 
-    def __init__(self, cfg: BlockConfig, rng: Rng):
+    def __init__(self, mixer_cfg: MixerConfig, mlp_ratio: float, rng: Rng):
         super().__init__()
-        dim = cfg.mixer.dim
+        dim = mixer_cfg.dim
         self.norm1 = self.add_module("norm1", LayerNorm(dim))
-        self.mixer: TokenMixer = self.add_module("mixer", build_mixer(cfg.mixer, rng.split("mixer")))
+        self.mixer: TokenMixer = self.add_module("mixer", build_mixer(mixer_cfg, rng.split("mixer")))
         self.norm2 = self.add_module("norm2", LayerNorm(dim))
-        self.mlp = self.add_module("mlp", Mlp(dim, int(round(cfg.mlp_ratio * dim)), rng.split("mlp")))
+        self.mlp = self.add_module("mlp", Mlp(dim, int(round(mlp_ratio * dim)), rng.split("mlp")))
 
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
         x = x + self.mixer(self.norm1(x), attn_sink)
@@ -164,6 +148,8 @@ class ModelConfig:
             raise ConfigError("cls_token is only supported in single-stage models")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
+        if self.mlp_ratio <= 0:
+            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         self.stage_grids()
 
     def stage_grids(self) -> list[tuple[int, int]]:
@@ -197,7 +183,7 @@ class Stage(Module):
         super().__init__()
         self.blocks = []
         for i in range(stage_cfg.depth):
-            block = Block(BlockConfig(mixer_cfg, mlp_ratio=mlp_ratio), rng.split(f"block{i}"))
+            block = Block(mixer_cfg, mlp_ratio, rng.split(f"block{i}"))
             self.add_module(f"block{i}", block)
             self.blocks.append(block)
 

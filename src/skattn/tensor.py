@@ -80,35 +80,13 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    # ergonomic sugar; all routed through the taped primitives below
+    # the methods `src/` calls, each routed through a taped primitive below;
+    # other ops (sub, matmul, ...) are called as functions
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not supported; use mul + rsqrt")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -225,6 +203,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+# the batch loops of `unfold`'s backward, `conv2d_grouped` and `attention`
+# take chunks of batch rows of about this many bytes (at least one row each)
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Batch rows per chunk: as many rows of `row_bytes` as fit in `_CHUNK_BYTES`, at least one."""
+    return max(1, _CHUNK_BYTES // max(1, row_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +397,6 @@ def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.n
         xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
 
 
-# `unfold`'s backward copies its gradient in chunks of batch rows of about
-# this many bytes (at least one row each)
-_UNFOLD_CHUNK_BYTES = 1 << 20
-
-
 def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """The k x k windows of a zero-padded [B, C, H, W] image as matmul columns
     [B, G, C/G*k*k, H'*W'], H' = (H + 2*padding - k) // stride + 1 (im2col:
@@ -425,6 +408,9 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     if xd.ndim != 4:
         raise ShapeError(f"unfold: input must be [B, C, H, W], got {xd.shape}")
     B, C, H, W = xd.shape
+    if stride < 1 or groups < 1 or padding < 0:
+        raise ShapeError(f"unfold: needs stride >= 1, groups >= 1 and padding >= 0, got "
+                         f"stride={stride}, groups={groups}, padding={padding}")
     if C % groups:
         raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
     cols = _windows(xd, k, stride, padding, "unfold").copy()  # C splits into (G, C/G) for free
@@ -435,8 +421,8 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     def bwd(g):
         gxp = np.zeros(group_shape + (hp, wp))
         # cska's windows gradient arrives as a transposed view: the adds read a
-        # C-order copy of it, made a few batch rows at a time to keep it small
-        step = max(1, _UNFOLD_CHUNK_BYTES // max(1, g[:1].nbytes))
+        # C-order copy of it, made about `_CHUNK_BYTES` at a time
+        step = _chunk_rows(g[:1].nbytes)
         for lo in range(0, B, step):
             g6 = np.ascontiguousarray(g[lo:lo + step]).reshape((-1,) + group_shape[1:] + (k, k, ho, wo))
             gx = gxp[lo:lo + step]
@@ -448,22 +434,17 @@ def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
 
 
-# `conv2d_grouped` copies windows in chunks of batch rows of about this many
-# bytes (at least one row each)
-_CONV_CHUNK_BYTES = 1 << 20
-
-
 def _window_products(lhs: np.ndarray, windows, out: np.ndarray, cols: np.ndarray | None = None) -> None:
     """out[b] = lhs @ (the windows of batch row b), for lhs [G, M, K] and out
     [B, G, M, P], in chunks of batch rows whose windows take about
-    `_CONV_CHUNK_BYTES`. `windows(lo, hi)` gives rows lo:hi as a view whose
+    `_CHUNK_BYTES`. `windows(lo, hi)` gives rows lo:hi as a view whose
     rows hold G*K*P values each; they are copied once, into `cols`
     [B, G, K, P] when given (which then holds every window), else into one
     chunk buffer reused by every chunk. Each matrix product is the one BLAS
     call that a single whole-batch matmul would make for that row."""
     B, G, _, P = out.shape
     K = lhs.shape[-1]
-    rows = max(1, _CONV_CHUNK_BYTES // max(1, 8 * G * K * P))
+    rows = _chunk_rows(8 * G * K * P)
     buf = np.empty((min(rows, B), G, K, P)) if cols is None else cols
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
@@ -486,7 +467,7 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     equal those of the unfold -> matmul -> reshape -> add chain bit for bit.
 
     The windows are copied and multiplied a chunk of batch rows at a time,
-    about `_CONV_CHUNK_BYTES` of windows each (memory-efficient im2col: Cho &
+    about `_CHUNK_BYTES` of windows each (memory-efficient im2col: Cho &
     Brand, "MEC", arXiv 1706.06873), so a chunk is still in cache when its
     matmul reads it. The weight gradient reads every window, so they are all
     kept only when a tape records this entry and `weight` is a Tensor;
@@ -509,6 +490,9 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k], got {wd.shape}")
     B, cin, H, W = xd.shape
     cout, cg, k, _ = wd.shape
+    if stride < 1 or groups < 1 or padding < 0:
+        raise ShapeError(f"conv2d: needs stride >= 1, groups >= 1 and padding >= 0, got "
+                         f"stride={stride}, groups={groups}, padding={padding}")
     if cin % groups or cout % groups:
         raise ShapeError(f"conv2d: channels ({cin} in, {cout} out) not divisible by groups={groups}")
     if cg != cin // groups:
@@ -593,11 +577,6 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(y, "softmax_rows", (x,), bwd)
 
 
-# `attention` works in chunks along axis 0 whose [..., Nq, Nk] logits take
-# about this many bytes (at least one map each)
-_ATTENTION_CHUNK_BYTES = 1 << 20
-
-
 class _ChunkGrad:
     """The gradient of an operand of `attention` that broadcasts against the
     chunked extents `lead`, gathered chunk by chunk.
@@ -635,7 +614,7 @@ def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None) 
 
     v has q's leading extents; k and the optional bias broadcast against
     them (bias against the [..., Nq, Nk] logits). The work runs in chunks
-    along axis 0 whose logits take about `_ATTENTION_CHUNK_BYTES`. Each
+    along axis 0 whose logits take about `_CHUNK_BYTES`. Each
     chunk's logits are computed straight into the weights P that backward
     keeps, and backward computes each chunk's logit gradient dS in one
     chunk-sized scratch buffer, so no full-size logits or dS exist. The
@@ -661,7 +640,7 @@ def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None) 
     except ValueError:
         raise ShapeError(f"attention: keys {kd.shape} or bias {None if bd is None else bd.shape} "
                          f"do not broadcast against queries {qd.shape}") from None
-    step = max(1, _ATTENTION_CHUNK_BYTES // max(1, 8 * math.prod(lead[1:]) * nq * nk))
+    step = _chunk_rows(8 * math.prod(lead[1:]) * nq * nk)
     chunks = [slice(i, i + step) for i in range(0, lead[0], step)]
     p = np.empty(lead + (nq, nk))
     out = np.empty(lead + (nq, dv))
@@ -822,6 +801,9 @@ def gather_last(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if xd.ndim != 2 or idx.ndim != 1 or idx.shape[0] != xd.shape[0]:
         raise ShapeError(f"gather_last: expected [B, K] with [B] indices, got {xd.shape}, {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= xd.shape[1]):
+        raise ShapeError(f"gather_last: indices must lie in [0, {xd.shape[1]}), "
+                         f"got {idx.min()}..{idx.max()}")
     rows = np.arange(xd.shape[0])
     out = xd[rows, idx]
 
@@ -922,8 +904,3 @@ class Rng:
                 j = int(raws[n - 1 - i] % np.uint64(i + 1))
                 perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-
-def rng_normal(rng: Rng, shape) -> Tensor:
-    """Standard-normal tensor drawn from the deterministic stream."""
-    return Tensor(rng.normal(tuple(shape)))

@@ -48,7 +48,7 @@ def test_fused_equals_chain(shapes, budget, scale, seed):
     def run(fn):
         return _grads(lambda *a: fn(*a[:3], scale, bias if bias is None else a[3]), inputs, w)
 
-    with mock.patch.object(tz, "_ATTENTION_CHUNK_BYTES", budget):
+    with mock.patch.object(tz, "_CHUNK_BYTES", budget):
         got, got_g = run(attention)
     want, want_g = run(composed_attention)
     assert np.array_equal(got, want)

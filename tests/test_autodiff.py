@@ -151,7 +151,7 @@ class TestGradCheck:
         y = rng.normal((4, 5))
 
         def f():
-            r = matmul(w, x) - y
+            r = tz.sub(matmul(w, x), y)
             return (r * r).sum()
 
         rows = grad_check(f, [Parameter("w", w)], tolerance=1e-7)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from skattn import (BlockConfig, ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
+from skattn import (ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
                     load_checkpoint, load_idx_images, save_checkpoint)
 from skattn import cli
 from skattn.cli import DEFAULT_CONFIG, load_config, main
@@ -371,6 +371,29 @@ class TestConfigDefaults:
         assert "train.steps" in capsys.readouterr().err
         assert not (out / "model.skaf").exists()
 
+    @pytest.mark.parametrize("assignments,message", [
+        (["model.mlp_ratio=0"], "mlp_ratio must be positive"),
+        (["model.mlp_ratio=-1.5"], "mlp_ratio must be positive"),
+        (["model.num_classes=1"], "num_classes must be >= 2"),
+        (["model.patch=0"], "patch must be >= 1"),
+        (["model.input=[1,8]"], "input must be (channels, height, width)"),
+        (["model.stages=[]"], "at least one stage is required"),
+        (['model.stages=[{"kind": "ska", "depth": 0, "dim": 8, "heads": 2}]'],
+         "stage depth must be >= 1"),
+        (["model.downsample=[2]"], "downsample needs 0 factors"),
+        (['model.stages=[{"kind": "ska", "depth": 1, "dim": 8, "heads": 2},'
+          ' {"kind": "ska", "depth": 1, "dim": 8, "heads": 2}]',
+          "model.downsample=[0]"], "downsample factors must be >= 1"),
+    ], ids=["mlp_ratio_0", "mlp_ratio_negative", "num_classes", "patch", "input", "no_stages",
+            "depth", "downsample_count", "downsample_factor"])
+    def test_invalid_model_config_exits_2_before_training(self, tmp_path, capsys,
+                                                          assignments, message):
+        out = tmp_path / "x"
+        sets = [arg for a in assignments for arg in ("--set", a)]
+        assert run("train", *FAST_TRAIN, *sets, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "model.skaf").exists()
+
     @pytest.mark.parametrize("key", ["eval_every", "clip_norm", "early_stop_acc"])
     def test_negative_switch_rejected_naming_the_key(self, tmp_path, capsys, key):
         with pytest.raises(ConfigError, match=f"train.{key}"):
@@ -408,7 +431,6 @@ class TestConfigDefaults:
         data = ["kind", "n_train", "n_test", "seed", "images", "labels", "test_images",
                 "test_labels"]
         assert [f.name for f in fields(MixerConfig)] == mixer
-        assert [f.name for f in fields(BlockConfig)] == ["mixer", "mlp_ratio"]
         assert [f.name for f in fields(ModelConfig)] == model
         assert [f.name for f in fields(TrainConfig)] == train
         leaves = {f"{section}.{key}" for section, keys in DEFAULT_CONFIG.items() for key in keys}

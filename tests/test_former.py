@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from skattn import (Block, BlockConfig, CheckpointError, ConfigError, MacCounter, MixerConfig,
+from skattn import (Block, CheckpointError, ConfigError, MacCounter, MixerConfig,
                     Module, NumericsError, Rng, Tape, Tensor, attention_trace, backward,
                     build_model, canonical_kind, count_parameters, cross_entropy,
                     finite_checks, grad_check, load_checkpoint, Model, ModelConfig,
                     save_checkpoint)
+from skattn import tensor as tz
 from oracles import brute_conv2d
 
 
@@ -26,13 +27,13 @@ class TestBlock:
     def test_output_shape(self, kind):
         cfg = MixerConfig(kind=kind, dim=8, heads=2, tokens=16,
                           grid=(4, 4) if kind in ("cska", "sepconv") else None)
-        block = Block(BlockConfig(cfg, mlp_ratio=2.0), Rng(0))
+        block = Block(cfg, 2.0, Rng(0))
         x = Tensor(Rng(1).normal((2, 16, 8)))
         assert block(x).shape == x.shape
 
     def test_zero_weights_is_identity(self):
         cfg = MixerConfig(kind="ska", dim=8, heads=2, tokens=16)
-        block = Block(BlockConfig(cfg, mlp_ratio=2.0), Rng(0))
+        block = Block(cfg, 2.0, Rng(0))
         for p in block.named_parameters():
             if not p.name.startswith("norm"):
                 p.tensor.data[:] = 0.0
@@ -41,7 +42,7 @@ class TestBlock:
 
     def test_sepconv_block_grad_check(self):
         cfg = MixerConfig(kind="sepconv", dim=8, heads=1, tokens=9, grid=(3, 3))
-        block = Block(BlockConfig(cfg, mlp_ratio=2.0), Rng(3))
+        block = Block(cfg, 2.0, Rng(3))
         x = Tensor(Rng(4).normal((1, 9, 8)))
         w = Rng(5).normal((1, 9, 8))
 
@@ -147,6 +148,12 @@ class TestModel:
             ModelConfig(input=(1, 16, 16), patch=2, num_classes=2, downsample=[2, 3],
                         stages=[{"kind": "mhsa", "depth": 1, "dim": 8, "heads": 1}] * 3)
 
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (2, 2, 8, 8), (2, 1, 8, 9)])
+    def test_wrong_image_shape_rejected(self, shape):
+        model = build_model(toy_model_config(), seed=0)
+        with pytest.raises(ConfigError, match=r"expected images \[B, 1, 8, 8\]"):
+            model(np.zeros(shape))
+
     def test_kind_aliases(self):
         assert canonical_kind("DWConv") == "sepconv"
         assert canonical_kind("attn") == "mhsa"
@@ -211,6 +218,38 @@ class TestModel:
         rows = grad_check(f, model.named_parameters(), tolerance=1e-4)
         assert all(r.passed for r in rows), [(r.name, r.max_rel_error)
                                              for r in rows if not r.passed]
+
+
+# the toy-train shape, and hier-eval's [dwconv, <kind>, attn, attn] placement
+_BATCH_SHAPES = {
+    "toy": lambda kind: dict(input=(1, 8, 8), patch=1,
+                             stages=[{"kind": kind, "depth": 2, "dim": 32, "heads": 4}]),
+    "hier": lambda kind: dict(input=(1, 32, 32), patch=2, stages=[
+        {"kind": "dwconv", "depth": 1, "dim": 8, "heads": 1},
+        {"kind": kind, "depth": 1, "dim": 16, "heads": 2},
+        {"kind": "attn", "depth": 1, "dim": 16, "heads": 2},
+        {"kind": "attn", "depth": 1, "dim": 16, "heads": 2}]),
+}
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("shape", list(_BATCH_SHAPES))
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska", "sepconv"])
+    def test_sub_batches_concatenate_to_the_batch(self, kind, shape, monkeypatch):
+        # an untaped forward over 64 images equals, bit for bit, the forwards
+        # over its sub-batches of 32, 16 and 8, whatever the chunk size
+        cfg = ModelConfig(num_classes=2, mlp_ratio=2.0, **_BATCH_SHAPES[shape](kind))
+        model = build_model(cfg, seed=3)
+        images = Rng(4).normal((64,) + cfg.input)
+
+        def forwards():
+            return [np.concatenate([model(images[lo:lo + sub]).data for lo in range(0, 64, sub)])
+                    for sub in (64, 32, 16, 8)]
+
+        runs = forwards()
+        monkeypatch.setattr(tz, "_CHUNK_BYTES", 1)  # one batch row per chunk
+        runs += forwards()
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
 def _stage(kind, heads=2):
@@ -506,6 +545,13 @@ class TestCheckpoint:
         path.write_bytes(self._with_config(blob, edit))
         assert path.read_bytes() != blob
         with pytest.raises(CheckpointError, match="config"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.skaf"
+        save_checkpoint(build_model(toy_model_config(), seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
             load_checkpoint(path)
 
     def test_parameter_name_not_utf8_rejected(self, tmp_path):

@@ -8,10 +8,14 @@ import pytest
 from scipy.special import erf
 
 from skattn import (MacCounter, NumericsError, Parameter, Rng, ShapeError, Tape, Tensor,
-                    attention, backward, concat, conv2d_grouped, finite_checks, gelu,
-                    grad_check, layer_norm, matmul, mean, rng_normal, softmax_rows, transpose)
+                    attention, backward, concat, conv2d_grouped, cross_entropy, finite_checks,
+                    gelu, grad_check, layer_norm, matmul, mean, softmax_rows, transpose)
 from skattn import tensor as tz
 from oracles import brute_conv2d
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
 
 
 class TestMatmul:
@@ -173,7 +177,7 @@ class TestAttention:
         q, k, v, bias, w = _operands((5, 2), 6, 7, 3, 4, k_lead=(2,), bias_shape=(2, 1, 7), seed=31)
         inputs = (q, k, v, bias)
         one = _grads(lambda *a: attention(*a[:3], 0.3, a[3]), inputs, w)
-        monkeypatch.setattr(tz, "_ATTENTION_CHUNK_BYTES", budget)
+        monkeypatch.setattr(tz, "_CHUNK_BYTES", budget)
         chunked = _grads(lambda *a: attention(*a[:3], 0.3, a[3]), inputs, w)
         assert np.array_equal(one[0], chunked[0])
         assert all(np.array_equal(a, b) for a, b in zip(one[1], chunked[1]))
@@ -226,7 +230,7 @@ class TestAttention:
 
 
 def _composed_layer_norm(x, gamma, beta, eps):
-    centered = x - x.mean(axis=-1, keepdims=True)
+    centered = tz.sub(x, x.mean(axis=-1, keepdims=True))
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * tz.rsqrt(var + eps) * gamma + beta
 
@@ -432,6 +436,29 @@ class TestPlumbing:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))).reshape(4, 2)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: tz.gather_last(_zeros(2, 3), [0, 3]), "gather_last: indices must lie in [0, 3)"),
+        (lambda: tz.gather_last(_zeros(2, 3), [-1, 0]), "gather_last: indices must lie in [0, 3)"),
+        # label -1 is not read as label K-1
+        (lambda: cross_entropy(_zeros(2, 3), [-1, 0]), "gather_last: indices must lie in [0, 3)"),
+        (lambda: tz.gather_last(_zeros(2, 3), [0, 1, 2]), "gather_last: expected [B, K]"),
+        (lambda: concat([_zeros(2, 3), _zeros(3)]), "concat: rank mismatch"),
+        (lambda: tz.broadcast_to(_zeros(3), (2, 4)), "broadcast: cannot expand"),
+        (lambda: tz.log_softmax_rows(_zeros(2, 0)), "log_softmax: empty last axis"),
+        (lambda: tz.dropout(_zeros(3), 1.0, Rng(0)), "dropout rate must be in [0, 1)"),
+        (lambda: conv2d_grouped(_zeros(1, 3, 5, 5), _zeros(4, 3, 3, 2)),
+         "conv2d: weight must be [C_out, C_in/G, k, k]"),
+        (lambda: conv2d_grouped(_zeros(1, 4, 5, 5), _zeros(4, 1, 3, 3), groups=2),
+         "conv2d: weight expects 1 channels/group but input provides 2"),
+        (lambda: conv2d_grouped(_zeros(1, 3, 5, 5), _zeros(4, 3, 3, 3), _zeros(3)),
+         "conv2d: bias shape (3,) != (4,)"),
+    ], ids=["index_K", "negative_index", "negative_label", "index_count", "concat_rank",
+            "broadcast", "log_softmax_empty", "dropout_rate", "conv_weight_rank",
+            "conv_weight_channels", "conv_bias"])
+    def test_argument_errors_name_the_op(self, call, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            call()
+
     @pytest.mark.parametrize("op", [
         lambda x: x.transpose(0, 2, 1),
         lambda x: x.reshape(4, 6),
@@ -477,9 +504,9 @@ class TestFiniteChecks:
 
 class TestRng:
     def test_same_seed_identical(self):
-        a = rng_normal(Rng(42), (5, 7))
-        b = rng_normal(Rng(42), (5, 7))
-        assert np.array_equal(a.data, b.data)
+        a = Rng(42).normal((5, 7))
+        b = Rng(42).normal((5, 7))
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         z = Rng(123).normal((1_000_000,))
@@ -487,7 +514,7 @@ class TestRng:
         assert abs(z.std() - 1.0) < 0.01
 
     def test_shape(self):
-        assert rng_normal(Rng(0), (2, 3)).size == 6
+        assert Rng(0).normal((2, 3)).shape == (2, 3)
 
     def test_split_streams_differ(self):
         root = Rng(0)

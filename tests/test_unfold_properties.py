@@ -67,7 +67,8 @@ def test_conv_matches_brute_force_and_counts_its_macs(shape, seed):
 
 
 @PROPERTY
-@given(conv_shapes(), st.integers(0, 2 ** 32), st.sampled_from(["rank", "groups", "kernel"]))
+@given(conv_shapes(), st.integers(0, 2 ** 32),
+       st.sampled_from(["rank", "groups", "groups<1", "stride<1", "padding<0", "kernel"]))
 def test_shape_errors(shape, seed, fault):
     b, c, g, cout, h, w, k, stride, padding = shape
     x, wt, _ = _arrays(shape, seed)
@@ -75,6 +76,12 @@ def test_shape_errors(shape, seed, fault):
         x = x[0]
     elif fault == "groups":
         g = c + 1
+    elif fault == "groups<1":
+        g = -(seed % 2)  # 0 or -1
+    elif fault == "stride<1":
+        stride = -(seed % 2)
+    elif fault == "padding<0":
+        padding = -1
     else:
         k = max(h, w) + 2 * padding + 1
         wt = np.zeros((cout, c // g, k, k))
@@ -119,7 +126,7 @@ def test_unfold_backward_is_the_same_in_any_chunking(monkeypatch):
     (_, _, bwd), = tape.entries
     g = np.ascontiguousarray(Rng(4).normal(cols.shape).swapaxes(-1, -2)).swapaxes(-1, -2)
     (whole,) = bwd(g)
-    monkeypatch.setattr(tz, "_UNFOLD_CHUNK_BYTES", 1)
+    monkeypatch.setattr(tz, "_CHUNK_BYTES", 1)
     (rows,) = bwd(g)
     assert np.array_equal(whole, rows)
 
@@ -190,7 +197,7 @@ def test_conv_is_the_same_in_any_chunking_taped_or_not(shape, batch, seed, budge
 
     want, want_macs = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tz, "_CONV_CHUNK_BYTES", budget)
+        mp.setattr(tz, "_CHUNK_BYTES", budget)
         got, got_macs = run()
     assert got_macs == want_macs
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
