@@ -16,14 +16,14 @@ Four interchangeable kinds, built by two classes:
 The three attention kinds differ only in where the logits come from, so they
 are one class, `Attention`, whose kind picks its key parameters. Each kind's
 logits are one product q @ k^T (+ bias): mhsa's k is dynamic, ska's is the
-static key, and cska's q is the unfolded query windows and k the conv
-kernels. Everything after the logits is shared: optional 1/sqrt(d_h)
+static key, and cska's q is the k x k windows of the query image and k the
+conv kernels. Everything after the logits is shared: optional 1/sqrt(d_h)
 scaling, a row activation, attention times values, head merge and an output
-projection. With the default softmax activation, logits, scaling, softmax
-and the product with the values are one fused taped entry
-(`tensor.attention`). cska with a CLS token, whose logits are a concat, and
-the relu/gelu/starrelu ablation activations run the same arithmetic as a
-chain of primitives. `SepConv` is the no-attention control.
+projection. Under softmax, logits, scaling, softmax and the product with the
+values are one fused taped entry (`tensor.attention`). cska with a CLS
+token, whose logits are a concat, and the relu/gelu/starrelu ablation
+activations run a chain of primitives (cska's logits from its grouped
+convolution). `SepConv` is the no-attention control.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ class Attention(TokenMixer):
     * cska: a grouped convolution of the queries laid out as an image
       [B, D, grid_h, grid_w] (``conv_w``/``conv_b``; groups = heads, N output
       channels per group, same-size padding) gives every query position one
-      logit per key position. Like ska's, it is one product: the unfolded
-      query windows [B, H, Nq, d_h*k*k] are its queries and the kernels as
+      logit per key position. Like ska's, it is one product: the query
+      windows [B, H, Nq, d_h*k*k] are its queries and the kernels as
       [H, Nk, d_h*k*k] its keys, with ``conv_b`` as a [H, 1, Nk] logit
       bias, so at kernel 1 it is ska with key[h, j] = conv_w[h*N + j, :, 0, 0]
       (the weight transport). With a CLS token every query gains one extra
@@ -215,8 +215,8 @@ class Attention(TokenMixer):
     projection ``wo``/``bo`` and dropout. Under softmax, logits through the
     product with the values are one `tensor.attention` entry; cska with a
     CLS token and the ablation activations run it as a chain of primitives
-    (softmax as `softmax_rows`). ``attn_sink``, when given, receives a copy
-    of the post-activation map.
+    (softmax as `softmax_rows`, cska's logits from `conv2d_grouped`).
+    ``attn_sink``, when given, receives a copy of the post-activation map.
     """
 
     def __init__(self, cfg: MixerConfig, rng: Rng):
@@ -250,22 +250,23 @@ class Attention(TokenMixer):
                 self.cls_key = self.register(
                     "cls_key", _key_param(rng.split("cls_key"), (h, 1, dh), cfg.key_init))
 
+    def _query_image(self, q: Tensor) -> Tensor:
+        """cska's spatial queries laid out as an image [B, D, grid_h, grid_w]."""
+        cfg = self.cfg
+        q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
+        return q_spatial.transpose(0, 2, 1).reshape(q.shape[0], cfg.dim, *cfg.grid)
+
     def _query_key(self, x: Tensor, q: Tensor) -> tuple[Tensor, Tensor, Tensor | None]:
-        """The query, key and logit bias whose product q @ k^T + bias is the
-        logits (for cska with a CLS token, their spatial block)."""
+        """The query, key and logit bias of `tensor.attention`; cska's are its
+        query image (for the windows form) and kernels as [H, Nk, d_h*k*k]."""
         cfg = self.cfg
         h = cfg.heads
         if cfg.kind == "mhsa":
             return _split_heads(q, h), _split_heads(T.matmul(x, self.wk), h), None
         if cfg.kind == "ska":
             return _split_heads(q, h), self.key, None
-        b, n = q.shape[0], cfg.tokens
-        q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
-        q_img = q_spatial.transpose(0, 2, 1).reshape(b, cfg.dim, *cfg.grid)
-        windows = T.unfold(q_img, cfg.kernel, padding=(cfg.kernel - 1) // 2, groups=h)
-        bias = None if self.conv_b is None else self.conv_b.reshape(h, 1, n)
-        # [B, H, Nq, d_h*k*k] windows against the kernels as [H, Nk, d_h*k*k]
-        return windows.transpose(0, 1, 3, 2), self.conv_w.reshape(h, n, -1), bias
+        bias = None if self.conv_b is None else self.conv_b.reshape(h, 1, cfg.tokens)
+        return self._query_image(q), self.conv_w.reshape(h, cfg.tokens, -1), bias
 
     def _with_cls(self, q: Tensor, spatial: Tensor) -> Tensor:
         """cska's [B, H, N, N] spatial logits bordered by the CLS key column
@@ -285,19 +286,24 @@ class Attention(TokenMixer):
         v = T.matmul(x, self.wv)
         if self.bq is not None:
             q, v = q + self.bq, v + self.bv
-        qh, kh, bias = self._query_key(x, q)
         v = _split_heads(v, cfg.heads)
 
         scale = 1.0 / math.sqrt(cfg.head_dim) if cfg.scaled else 1.0
-        cska_cls = cfg.kind == "cska" and cfg.cls_token
-        if cfg.activation == "softmax" and not cska_cls:
-            out = T.attention(qh, kh, v, scale, bias, sink=attn_sink)
-        else:
-            logits = T.matmul(qh, kh.transpose(*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
-            if bias is not None:
-                logits = logits + bias
-            if cska_cls:
+        fused = cfg.activation == "softmax" and not (cfg.kind == "cska" and cfg.cls_token)
+        if fused:
+            qh, kh, bias = self._query_key(x, q)
+            out = T.attention(qh, kh, v, scale, bias, sink=attn_sink,
+                              kernel=cfg.kernel if cfg.kind == "cska" else None)
+        elif cfg.kind == "cska":  # a grouped conv with one output channel per (head, key)
+            logits = T.conv2d_grouped(self._query_image(q), self.conv_w, self.conv_b,
+                                      padding=(cfg.kernel - 1) // 2, groups=cfg.heads)
+            logits = logits.reshape(q.shape[0], cfg.heads, cfg.tokens, -1).transpose(0, 1, 3, 2)
+            if cfg.cls_token:
                 logits = self._with_cls(q, logits)
+        else:
+            qh, kh, _ = self._query_key(x, q)
+            logits = T.matmul(qh, kh.transpose(*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
+        if not fused:
             if cfg.scaled:
                 logits = T.mul(logits, scale)
             if cfg.activation == "softmax":

@@ -89,13 +89,9 @@ class Tensor:
         return mul(self, other)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         return transpose(self, axes or None)
 
     def sum(self, axis=None, keepdims=False):
@@ -181,7 +177,7 @@ def _data(x) -> np.ndarray:
 
 
 # ops that only move values create no non-finite value, so their outputs are not scanned
-_MOVE_OPS = frozenset({"reshape", "transpose", "concat", "slice", "broadcast", "unfold", "gather_last"})
+_MOVE_OPS = frozenset({"reshape", "transpose", "concat", "slice", "broadcast", "gather_last"})
 
 
 def _make(out_data: np.ndarray, op: str, inputs: tuple, backward) -> Tensor:
@@ -205,8 +201,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# the batch loops of `unfold`'s backward, `conv2d_grouped` and `attention`
-# take chunks of batch rows of about this many bytes (at least one row each)
+# the batch loops of `conv2d_grouped` and `attention` take chunks of about this many bytes
 _CHUNK_BYTES = 1 << 20
 
 
@@ -397,43 +392,6 @@ def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.n
         xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
 
 
-def unfold(x, k: int, *, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """The k x k windows of a zero-padded [B, C, H, W] image as matmul columns
-    [B, G, C/G*k*k, H'*W'], H' = (H + 2*padding - k) // stride + 1 (im2col:
-    Chellapilla, Puri & Simard, IWFHR 2006). Per group, column p is the window
-    at output position p and row (c, i, j) is channel c at kernel offset
-    (i, j). Backward is the scatter-add. Counts no MACs.
-    """
-    xd = _data(x)
-    if xd.ndim != 4:
-        raise ShapeError(f"unfold: input must be [B, C, H, W], got {xd.shape}")
-    B, C, H, W = xd.shape
-    if stride < 1 or groups < 1 or padding < 0:
-        raise ShapeError(f"unfold: needs stride >= 1, groups >= 1 and padding >= 0, got "
-                         f"stride={stride}, groups={groups}, padding={padding}")
-    if C % groups:
-        raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
-    cols = _windows(xd, k, stride, padding, "unfold").copy()  # C splits into (G, C/G) for free
-    ho, wo = cols.shape[-2:]
-    hp, wp = H + 2 * padding, W + 2 * padding
-    group_shape = (B, groups, C // groups)
-
-    def bwd(g):
-        gxp = np.zeros(group_shape + (hp, wp))
-        # cska's windows gradient arrives as a transposed view: the adds read a
-        # C-order copy of it, made about `_CHUNK_BYTES` at a time
-        step = _chunk_rows(g[:1].nbytes)
-        for lo in range(0, B, step):
-            g6 = np.ascontiguousarray(g[lo:lo + step]).reshape((-1,) + group_shape[1:] + (k, k, ho, wo))
-            gx = gxp[lo:lo + step]
-            for i in range(k):
-                for j in range(k):
-                    gx[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
-        return (gxp.reshape(B, C, hp, wp)[:, :, padding:padding + H, padding:padding + W],)
-
-    return _make(cols.reshape(B, groups, -1, ho * wo), "unfold", (x,), bwd)
-
-
 def _window_products(lhs: np.ndarray, windows, out: np.ndarray, cols: np.ndarray | None = None) -> None:
     """out[b] = lhs @ (the windows of batch row b), for lhs [G, M, K] and out
     [B, G, M, P], in chunks of batch rows whose windows take about
@@ -461,10 +419,10 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     x: [B, C_in, H, W]; weight: [C_out, C_in/groups, k, k]; bias: [C_out].
     Output [B, C_out, H', W'] with H' = (H + 2*padding - k) // stride + 1.
     Each output group reads only its own input group. The forward takes the
-    matmul of the weight as [G, C_out/G, C_in/G*k*k] with the input's windows
-    (as `unfold` lays them out), then adds the bias in place:
+    matmul of the weight as [G, C_out/G, C_in/G*k*k] with the input's window
+    columns [G, C_in/G*k*k, H'*W'] (im2col), then adds the bias in place:
     out_elems * (C_in/groups) * k^2 MACs. Output, weight and bias gradients
-    equal those of the unfold -> matmul -> reshape -> add chain bit for bit.
+    equal those of the im2col -> matmul -> reshape -> add chain bit for bit.
 
     The windows are copied and multiplied a chunk of batch rows at a time,
     about `_CHUNK_BYTES` of windows each (memory-efficient im2col: Cho &
@@ -486,8 +444,8 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     xd, wd = _data(x), _data(weight)
     if xd.ndim != 4:
         raise ShapeError(f"conv2d: input must be [B, C, H, W], got {xd.shape}")
-    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
-        raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k], got {wd.shape}")
+    if wd.ndim != 4 or wd.shape[2] != wd.shape[3] or wd.shape[2] < 1:
+        raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k] with k >= 1, got {wd.shape}")
     B, cin, H, W = xd.shape
     cout, cg, k, _ = wd.shape
     if stride < 1 or groups < 1 or padding < 0:
@@ -608,32 +566,59 @@ class _ChunkGrad:
         return _unbroadcast(self.grad, tail).reshape(self.shape)
 
 
-def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None) -> Tensor:
+def _add_windows(gx: np.ndarray, g6: np.ndarray) -> None:
+    """Adjoint of same-padded stride-1 windows: add each tap (i, j) of g6 [B, C, k, k, H, W],
+    in (i, j) order, onto the cells of gx [B, C, H, W] it read, clipped at the border."""
+    k, (h, w) = g6.shape[2], gx.shape[2:]
+    pad = (k - 1) // 2
+    for i in range(k):
+        y0, y1 = max(0, i - pad), min(h, h + i - pad)
+        for j in range(k):
+            x0, x1 = max(0, j - pad), min(w, w + j - pad)
+            gx[:, :, y0:y1, x0:x1] += g6[:, :, i, j, y0 + pad - i:y1 + pad - i, x0 + pad - j:x1 + pad - j]
+
+
+def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None,
+              kernel: int | None = None) -> Tensor:
     """Fused softmax(scale * (q @ k^T + bias)) @ v for queries [..., Nq, dk],
     keys [..., Nk, dk] and values [..., Nk, dv].
 
     v has q's leading extents; k and the optional bias broadcast against
     them (bias against the [..., Nq, Nk] logits). The work runs in chunks
-    along axis 0 whose logits take about `_CHUNK_BYTES`. Each
-    chunk's logits are computed straight into the weights P that backward
-    keeps, and backward computes each chunk's logit gradient dS in one
-    chunk-sized scratch buffer, so no full-size logits or dS exist. The
-    arithmetic runs in the order of matmul -> add -> mul -> softmax_rows ->
-    matmul, so the output equals that chain bit for bit. Counts
-    Nq*Nk*(dk + dv) MACs per map, as the chain's two matmuls do. When `sink`
-    is a list, a copy of P is appended to it.
+    along axis 0 whose logits take about `_CHUNK_BYTES`. Each chunk's logits
+    are computed straight into the weights P, kept whole only when backward
+    or `sink` (which gets a copy) reads them; backward computes each chunk's
+    logit gradient dS in one chunk-sized scratch buffer. The arithmetic runs
+    in the order of matmul -> add -> mul -> softmax_rows -> matmul, so the
+    output equals that chain bit for bit. Counts Nq*Nk*(dk + dv) MACs per
+    map, as the chain's two matmuls do.
+
+    With `kernel`, the windows form (cska): q is a query image [B, H*c, gh,
+    gw], v is [B, H, Nk, dv], and head h's gh*gw queries are the same-padded
+    kernel x kernel windows of its c channels (dk = c*kernel^2, ordered
+    (c, i, j)). Each chunk's windows are copied just before its logits
+    product, and all are kept only when a tape records a key Tensor, whose
+    gradient reads them. Backward writes each chunk's window gradient in
+    that [dk, Nq] layout and adds its taps onto q's gradient.
     """
     qd, kd, vd = _data(q), _data(k), _data(v)
     bd = None if bias is None else _data(bias)
-    if qd.ndim < 2 or kd.ndim < 2 or vd.ndim != qd.ndim:
-        raise ShapeError(f"attention: need [..., Nq, dk] queries, [..., Nk, dk] keys and "
-                         f"[..., Nk, dv] values, got {qd.shape}, {kd.shape} and {vd.shape}")
-    (nq, dk), (nk, dv) = qd.shape[-2:], vd.shape[-2:]
-    if kd.shape[-2:] != (nk, dk) or vd.shape[:-2] != qd.shape[:-2] or nk == 0:
+    if kernel is None:
+        if qd.ndim < 2 or kd.ndim < 2 or vd.ndim != qd.ndim:
+            raise ShapeError(f"attention: need [..., Nq, dk] queries, [..., Nk, dk] keys and "
+                             f"[..., Nk, dv] values, got {qd.shape}, {kd.shape} and {vd.shape}")
+        lead, (nq, dk) = qd.shape[:-2] or (1,), qd.shape[-2:]  # one map gets a leading axis to chunk along
+    elif (kernel < 1 or kernel % 2 == 0 or qd.ndim != 4 or vd.ndim != 4 or vd.shape[1] < 1
+          or qd.shape[0] != vd.shape[0] or qd.shape[1] % vd.shape[1]):
+        raise ShapeError(f"attention: windows need an odd kernel >= 1, a [B, H*c, gh, gw] query image "
+                         f"and [B, H, Nk, dv] values, got {kernel}, {qd.shape} and {vd.shape}")
+    else:
+        lead, nq, dk = vd.shape[:2], qd.shape[2] * qd.shape[3], qd.shape[1] // vd.shape[1] * kernel * kernel
+    nk, dv = vd.shape[-2:]
+    if kd.shape[-2:] != (nk, dk) or nk == 0 or kernel is None and vd.shape[:-2] != qd.shape[:-2]:
         raise ShapeError(f"attention: queries {qd.shape}, keys {kd.shape} and values "
                          f"{vd.shape} do not match")
-    lead = qd.shape[:-2] or (1,)  # one map gets a leading axis to chunk along
-    q3, v3 = qd.reshape(lead + (nq, dk)), vd.reshape(lead + (nk, dv))
+    v3 = vd.reshape(lead + (nk, dv))
     try:
         kb = np.broadcast_to(kd, lead + (nk, dk))
         bb = None if bd is None else np.broadcast_to(bd, lead + (nq, nk))
@@ -641,24 +626,40 @@ def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None) 
         raise ShapeError(f"attention: keys {kd.shape} or bias {None if bd is None else bd.shape} "
                          f"do not broadcast against queries {qd.shape}") from None
     step = _chunk_rows(8 * math.prod(lead[1:]) * nq * nk)
-    chunks = [slice(i, i + step) for i in range(0, lead[0], step)]
-    p = np.empty(lead + (nq, nk))
-    out = np.empty(lead + (nq, dv))
+    # an empty batch still gets one (empty) chunk, which sums a broadcast operand's zero gradient
+    chunks = [slice(i, min(i + step, lead[0])) for i in range(0, max(lead[0], 1), step)]
+
+    def buffer(whole: bool, tail: tuple) -> np.ndarray:  # for every row along axis 0, or one chunk's
+        return np.empty(((lead[0] if whole else min(step, lead[0])),) + lead[1:] + tail)
+
+    def rows(buf: np.ndarray, sl: slice) -> np.ndarray:  # a chunk's rows of either kind of buffer
+        return buf[sl] if len(buf) == lead[0] else buf[:sl.stop - sl.start]
+
+    taped = bool(_TAPES) and any(isinstance(t, Tensor) for t in (q, k, v, bias))
+    if kernel is None:  # the queries as [..., dk, Nq], as the key gradient reads them
+        cols = np.swapaxes(qd.reshape(lead + (nq, dk)), -1, -2)
+    else:
+        cols = buffer(taped and isinstance(k, Tensor), (dk, nq))
+    p, out = buffer(taped or sink is not None, (nq, nk)), np.empty(lead + (nq, dv))
     for sl in chunks:
-        pc = p[sl]
-        np.matmul(q3[sl], np.swapaxes(kb[sl], -1, -2), out=pc)
+        if kernel is not None:
+            win = _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention")
+            rows(cols, sl).reshape(win.shape)[...] = win
+        pc = rows(p, sl)
+        np.matmul(np.swapaxes(rows(cols, sl), -1, -2), np.swapaxes(kb[sl], -1, -2), out=pc)
         if bb is not None:
             pc += bb[sl]
         pc *= scale
         _softmax_inplace(pc)
         np.matmul(pc, v3[sl], out=out[sl])
     if sink is not None:
-        sink.append(p.reshape(qd.shape[:-1] + (nk,)).copy())
+        sink.append(p.reshape(vd.shape[:-2] + (nq, nk)).copy())
     _add_macs(math.prod(lead) * nq * nk * (dk + dv))
 
     def bwd(g):
         g3 = g.reshape(lead + (nq, dv))
-        dq = np.empty(q3.shape) if isinstance(q, Tensor) else None
+        dq = None if not isinstance(q, Tensor) else np.empty(lead + (nq, dk)) if kernel is None else np.zeros(qd.shape)
+        dcols = None if dq is None or kernel is None else buffer(False, (dk, nq))  # a chunk's window gradient
         dkt = _ChunkGrad(kd.shape[:-2] + (dk, nk), lead) if isinstance(k, Tensor) else None
         dvs = np.empty(v3.shape) if isinstance(v, Tensor) else None
         db = _ChunkGrad(bd.shape, lead) if isinstance(bias, Tensor) else None
@@ -671,24 +672,23 @@ def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None) 
             np.matmul(gc, np.swapaxes(v3[sl], -1, -2), out=ds)
             _softmax_grad_inplace(ds, pc, tmp)
             ds *= scale
-            if dq is not None:
+            if dcols is not None:
+                dc = rows(dcols, sl)
+                np.matmul(ds, kb[sl], out=np.swapaxes(dc, -1, -2))
+                _add_windows(dq[sl], dc.reshape((-1, qd.shape[1], kernel, kernel) + qd.shape[2:]))
+            elif dq is not None:
                 np.matmul(ds, kb[sl], out=dq[sl])
             if dkt is not None:
-                dkt.add(sl, np.matmul(np.swapaxes(q3[sl], -1, -2), ds))
+                dkt.add(sl, np.matmul(cols[sl], ds))
             if db is not None:
                 db.add(sl, ds)
-        grads = []
-        if dq is not None:
-            grads.append(dq.reshape(qd.shape))
-        if dkt is not None:
-            grads.append(np.swapaxes(dkt.result(), -1, -2))
-        if dvs is not None:
-            grads.append(dvs.reshape(vd.shape))
-        if db is not None:
-            grads.append(db.result())
-        return tuple(grads)
+        grads = (None if dq is None else dq.reshape(qd.shape),
+                 None if dkt is None else np.swapaxes(dkt.result(), -1, -2),
+                 None if dvs is None else dvs.reshape(vd.shape),
+                 None if db is None else db.result())
+        return tuple(g for g in grads if g is not None)
 
-    return _make(out.reshape(qd.shape[:-1] + (dv,)), "attention", (q, k, v, bias), bwd)
+    return _make(out.reshape(vd.shape[:-2] + (nq, dv)), "attention", (q, k, v, bias), bwd)
 
 
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:
@@ -820,11 +820,7 @@ def dropout(x: Tensor, rate: float, rng: "Rng") -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
     xd = _data(x)
-    if rate == 0.0:
-        return _make(xd.copy(), "dropout", (x,), lambda g: (g,))
-    keep = rng.uniform(xd.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    mask = keep * scale
+    mask = (rng.uniform(xd.shape) >= rate) * (1.0 / (1.0 - rate))
     out = xd * mask
 
     def bwd(g):
@@ -849,10 +845,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _key_to_u64(key) -> int:
-    if isinstance(key, str):
-        return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
-    return int(key) & 0xFFFFFFFFFFFFFFFF
+def _key_to_u64(key: str) -> int:
+    return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
 
 
 class Rng:
@@ -871,7 +865,7 @@ class Rng:
         self.counter += n
         return _mix64(self.seed + _GOLDEN * idx)
 
-    def split(self, key) -> "Rng":
+    def split(self, key: str) -> "Rng":
         k = np.array([_key_to_u64(key)], dtype=np.uint64)
         child = _mix64(np.array([self.seed], dtype=np.uint64) ^ _mix64(k + _GOLDEN))[0]
         return Rng(int(child))

@@ -1,6 +1,7 @@
 """Property tests of the fused `attention` entry against the composed chain,
-over random shapes, broadcasts and chunk budgets drawn by hypothesis
-(derandomized, so every run draws the same examples)."""
+and of its windows form against the unfold chain, over random shapes,
+broadcasts and chunk budgets drawn by hypothesis (derandomized, so every run
+draws the same examples)."""
 
 from unittest import mock
 
@@ -10,9 +11,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from skattn import Rng, ShapeError, Tensor, attention
+from skattn import MacCounter, Rng, ShapeError, Tape, Tensor, attention, backward
 from skattn import tensor as tz
-from test_tensor import _grads, composed_attention
+from test_tensor import _grads, composed_attention, unfold
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -77,3 +78,58 @@ def test_mismatched_shapes_raise_shape_error(shapes, seed, fault):
     q_t, k_t, v_t, bias_t = _tensors((q, k, v, bias), seed)
     with pytest.raises(ShapeError):
         attention(q_t, k_t, v_t, 0.5, bias_t)
+
+
+@st.composite
+def windows_shapes(draw):
+    """(B, H, c, gh, gw, kernel, Nk, dv, key lead) of the windows form: batch 0
+    included, grids not square, and a key [H, Nk, dk] (cska's) or one with
+    the batch axis too."""
+    b, h = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return (b, h, draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+            draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 6)), draw(st.integers(1, 3)),
+            draw(st.sampled_from([(h,), (b, h)])))
+
+
+def _windows_chain(q, k, v, scale, bias, sink, kernel):
+    """The windows form's reference: the reference unfold, its transpose, then
+    the plain fused entry (the path cska took before the windows form)."""
+    cols = unfold(q, kernel, padding=(kernel - 1) // 2, groups=v.shape[1])
+    return attention(cols.transpose(0, 1, 3, 2), k, v, scale, bias, sink)
+
+
+def _windows_form(q, k, v, scale, bias, sink, kernel):
+    return attention(q, k, v, scale, bias, sink, kernel=kernel)
+
+
+@PROPERTY
+@given(windows_shapes(), st.booleans(), st.sampled_from([1, None]), st.sampled_from([1.0, 0.35]),
+       st.integers(0, 2 ** 32))
+def test_windows_form_equals_the_unfold_chain(shape, with_bias, budget, scale, seed):
+    # forward, sink, every gradient and the MACs bit for bit, at a budget of
+    # one batch row per chunk (1 byte) and at the default; an untaped forward,
+    # which reuses one chunk of windows and weights, equals a taped one
+    b, h, c, gh, gw, kernel, nk, dv, k_lead = shape
+    q, k, v, bias = _tensors(((b, h * c, gh, gw), k_lead + (nk, c * kernel * kernel),
+                              (b, h, nk, dv), (h, 1, nk) if with_bias else None), seed)
+    inputs = tuple(t for t in (q, k, v, bias) if t is not None)
+    w = Rng(seed + 1).normal((b, h, gh * gw, dv))
+
+    def run(fn):
+        sink = []
+        with MacCounter() as counter:
+            with Tape() as tape:
+                out = fn(q, k, v, scale, bias, sink, kernel)
+                loss = (out * w).sum()
+        grads = backward(tape, loss)
+        untaped = fn(q, k, v, scale, bias, None, kernel).data
+        assert np.array_equal(untaped, out.data)
+        return [out.data, *sink] + [grads[t] for t in inputs], counter.macs
+
+    with mock.patch.object(tz, "_CHUNK_BYTES", budget or tz._CHUNK_BYTES):
+        got, got_macs = run(_windows_form)
+    want, want_macs = run(_windows_chain)
+    assert got_macs == want_macs == b * h * gh * gw * nk * (c * kernel * kernel + dv)
+    assert len(got) == len(want)
+    for a, e in zip(got, want):
+        assert a.shape == e.shape and np.array_equal(a, e)

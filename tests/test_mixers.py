@@ -6,7 +6,7 @@ from skattn import (KINDS, ConfigError, MacCounter, MixerConfig, Rng, ShapeError
                     mixer_properties)
 from skattn import tensor as tz
 from oracles import brute_conv2d, naive_cska, naive_mhsa
-from test_tensor import composed_attention
+from test_tensor import composed_attention, unfold
 
 
 def make(kind, dim=8, heads=2, tokens=16, seed=0, **kw):
@@ -307,6 +307,48 @@ def _counting(fn, calls):
         calls.append(fn)
         return fn(*args, **kwargs)
     return wrapped
+
+
+def _unfold_chain_conv(x, weight, bias=None, *, stride=1, padding=0, groups=1):
+    """cska's logits as its chain paths took them before `conv2d_grouped`:
+    reference unfold -> transpose -> matmul with the kernels as [H, d_h*k*k,
+    Nk] -> add the bias as [H, 1, Nk], laid out as the convolution's output
+    [B, H*Nk, gh, gw]. Stride-1 same-padded convs only."""
+    b, _, gh, gw = x.shape
+    cout, _, k, _ = weight.shape
+    n = cout // groups
+    windows = unfold(x, k, padding=padding, groups=groups)
+    logits = tz.matmul(windows.transpose(0, 1, 3, 2), weight.reshape(groups, n, -1).transpose(0, 2, 1))
+    if bias is not None:
+        logits = logits + bias.reshape(groups, 1, n)
+    return logits.transpose(0, 1, 3, 2).reshape(b, cout, gh, gw)
+
+
+class TestCskaChainLogits:
+    """cska's CLS and ablation-activation paths take their logits from
+    `conv2d_grouped`. The unfold chain they replaced sums the same products
+    in another BLAS order, so the two agree to rounding, not bit for bit
+    (at most 1.7e-15 relative, measured over these cases at five seeds). The
+    bound is 1e-12 relative to the largest value compared."""
+
+    @pytest.mark.parametrize("activation,cls_token,qkv_bias", [
+        ("softmax", True, True), ("softmax", True, False), ("relu", False, True),
+        ("gelu", False, True), ("starrelu", False, False), ("starrelu", True, True)])
+    def test_matches_the_unfold_chain(self, activation, cls_token, qkv_bias, monkeypatch):
+        mixer, cfg = make("cska", dim=8, heads=2, tokens=12, grid=(3, 4), seed=17,
+                          activation=activation, cls_token=cls_token, qkv_bias=qkv_bias)
+        x = Tensor(Rng(18).normal((3, cfg.total_tokens, cfg.dim)))
+        w = Rng(19).normal((3, cfg.total_tokens, cfg.dim))
+        calls = []
+        monkeypatch.setattr(tz, "conv2d_grouped", _counting(tz.conv2d_grouped, calls))
+        out, sink, grads = _forward_and_grads(mixer, x, w)
+        monkeypatch.setattr(tz, "conv2d_grouped", _counting(_unfold_chain_conv, calls))
+        want_out, want_sink, want_grads = _forward_and_grads(mixer, x, w)
+        assert len(calls) == 2 and calls[1] is _unfold_chain_conv
+        assert len(sink) == len(want_sink) == 1 and grads.keys() == want_grads.keys()
+        for got, want in [(out, want_out), (sink[0], want_sink[0])] + [
+                (grads[name], want_grads[name]) for name in want_grads]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestFusedAttention:

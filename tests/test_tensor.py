@@ -88,9 +88,13 @@ def _swap_last(t):
     return transpose(t, (*range(t.ndim - 2), t.ndim - 1, t.ndim - 2))
 
 
-def composed_attention(q, k, v, scale=1.0, bias=None, sink=None):
+def composed_attention(q, k, v, scale=1.0, bias=None, sink=None, kernel=None):
     """The unfused reference for `attention`: matmul(q, k^T) -> add(bias) ->
-    mul(scale) -> softmax_rows -> matmul."""
+    mul(scale) -> softmax_rows -> matmul. For the windows form (`kernel`
+    given) the queries are the same-padded windows of the query image:
+    unfold -> transpose first."""
+    if kernel is not None:
+        q = _swap_last(unfold(q, kernel, padding=(kernel - 1) // 2, groups=tz._data(v).shape[1]))
     logits = matmul(q, _swap_last(k))
     if bias is not None:
         logits = tz.add(logits, bias)
@@ -100,12 +104,50 @@ def composed_attention(q, k, v, scale=1.0, bias=None, sink=None):
     return matmul(attn, v)
 
 
+def unfold(x, k, *, stride=1, padding=0, groups=1):
+    """The k x k windows of a zero-padded [B, C, H, W] image as matmul columns
+    [B, G, C/G*k*k, H'*W'], H' = (H + 2*padding - k) // stride + 1, as a taped
+    entry (im2col: Chellapilla, Puri & Simard, IWFHR 2006). Per group, column
+    p is the window at output position p and row (c, i, j) is channel c at
+    kernel offset (i, j). Backward is the scatter-add, in (i, j) order, a
+    chunk of batch rows at a time. The reference the library's window
+    builders (`conv2d_grouped`, `attention`'s windows form) are tested
+    against."""
+    xd = tz._data(x)
+    if xd.ndim != 4:
+        raise ShapeError(f"unfold: input must be [B, C, H, W], got {xd.shape}")
+    B, C, H, W = xd.shape
+    if stride < 1 or groups < 1 or padding < 0:
+        raise ShapeError(f"unfold: needs stride >= 1, groups >= 1 and padding >= 0, got "
+                         f"stride={stride}, groups={groups}, padding={padding}")
+    if C % groups:
+        raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
+    cols = tz._windows(xd, k, stride, padding, "unfold").copy()  # C splits into (G, C/G) for free
+    ho, wo = cols.shape[-2:]
+    hp, wp = H + 2 * padding, W + 2 * padding
+    group_shape = (B, groups, C // groups)
+
+    def bwd(g):
+        gxp = np.zeros(group_shape + (hp, wp))
+        step = tz._chunk_rows(g[:1].nbytes)
+        for lo in range(0, B, step):
+            g6 = np.ascontiguousarray(g[lo:lo + step]).reshape((-1,) + group_shape[1:] + (k, k, ho, wo))
+            gx = gxp[lo:lo + step]
+            for i in range(k):
+                for j in range(k):
+                    gx[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, i, j]
+        return (gxp.reshape(B, C, hp, wp)[:, :, padding:padding + H, padding:padding + W],)
+
+    with finite_checks(False):  # a move creates no non-finite value, so its output is not scanned
+        return tz._make(cols.reshape(B, groups, C // groups * k * k, ho * wo), "unfold", (x,), bwd)
+
+
 def composed_conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     """The unfused reference for `conv2d_grouped`: unfold -> matmul of the
     weight as [G, C_out/G, C_in/G*k*k] -> reshape -> add(bias)."""
     b, _, h, _ = tz._data(x).shape
     cout, cg, k, _ = tz._data(weight).shape
-    cols = tz.unfold(x, k, stride=stride, padding=padding, groups=groups)
+    cols = unfold(x, k, stride=stride, padding=padding, groups=groups)
     out = matmul(tz.reshape(weight, (groups, cout // groups, cg * k * k)), cols)
     out = tz.reshape(out, (b, cout, (h + 2 * padding - k) // stride + 1, -1))
     if bias is not None:
@@ -211,6 +253,78 @@ class TestAttention:
         k, v = Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 2, 3)))
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="attention"):
             attention(q, k, v, 1.0)
+
+    def test_empty_batch_with_a_broadcast_key(self):
+        # a broadcast key's and bias's gradients are zeros, not missing
+        q, k, v, bias, w = _operands((0, 2), 3, 5, 4, 3, k_lead=(2,), bias_shape=(2, 1, 5))
+        got, grads = _grads(lambda *a: attention(*a[:3], 0.5, a[3]), (q, k, v, bias), w)
+        assert got.shape == (0, 2, 3, 3)
+        assert [g.shape for g in grads] == [(0, 2, 3, 4), (2, 5, 4), (0, 2, 5, 3), (2, 1, 5)]
+        assert not grads[1].any() and not grads[3].any()
+
+    def test_untaped_forward_keeps_one_chunk_of_weights(self):
+        # 64 maps of 64x64 weights are 2 MiB; an untaped forward without a
+        # sink reuses one 1 MiB chunk of them, a taped one keeps them all
+        q, k, v, _, _ = _operands((64,), 64, 64, 2, 2, k_lead=(), seed=4)
+        peaks = []
+        for taped in (False, True):
+            tracemalloc.start()
+            try:
+                if taped:
+                    with Tape():
+                        out = attention(q, k, v, 0.5)
+                else:
+                    untaped = attention(q, k, v, 0.5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(untaped.data, out.data)
+        assert peaks[0] < (3 << 19) < 2 << 20 < peaks[1], peaks
+
+    def _windows_operands(self, b, h, c, grid, nk, dv, kernel, seed):
+        rng = Rng(seed)
+        return (Tensor(rng.normal((b, h * c) + grid)), Tensor(rng.normal((h, nk, c * kernel * kernel))),
+                Tensor(rng.normal((b, h, nk, dv))), Tensor(rng.normal((h, 1, nk))),
+                rng.normal((b, h, grid[0] * grid[1], dv)))
+
+    def test_windows_form_grad_check(self):
+        q, k, v, bias, w = self._windows_operands(2, 2, 2, (3, 4), 5, 3, 3, seed=41)
+        params = [Parameter("q", q), Parameter("k", k), Parameter("v", v), Parameter("bias", bias)]
+        rows = grad_check(lambda: (attention(q, k, v, 0.6, bias, kernel=3) * w).sum(), params)
+        assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
+
+    def test_windows_form_eval_forward_holds_no_window_copy(self):
+        # hier-eval's cska stage: batch 256, an 8x8 grid, D = 16 in 2 heads;
+        # the windows of every batch row would take 18 MiB, the weights 16 MiB
+        q, k, v, _, _ = self._windows_operands(256, 2, 8, (8, 8), 64, 8, 3, seed=42)
+        window_copy = 256 * 16 * 9 * 64 * 8
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, 8 ** -0.5, kernel=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (256, 2, 64, 8) and out.data.nbytes == 2 << 20
+        assert peak < window_copy, peak
+        assert peak < out.data.nbytes + (3 << 20), peak
+
+    @pytest.mark.parametrize("kernel", [0, -1, 2, 4])
+    def test_windows_form_rejects_a_kernel_below_one_or_even(self, kernel):
+        q, k, v, _, _ = self._windows_operands(1, 2, 1, (3, 3), 9, 2, 1, seed=43)
+        with pytest.raises(ShapeError, match="attention: windows need an odd kernel >= 1"):
+            attention(q, k, v, kernel=kernel)
+
+    @pytest.mark.parametrize("q_shape,k_shape,v_shape,message", [
+        ((2, 4, 3, 3), (2, 9, 18), (2, 3, 9, 2), "windows need"),  # 4 channels in 3 heads
+        ((2, 4, 3, 3), (2, 9, 18), (3, 2, 9, 2), "windows need"),  # batch extents differ
+        ((2, 4, 9), (2, 9, 18), (2, 2, 9, 2), "windows need"),     # queries are not an image
+        ((2, 4, 3, 3), (2, 9, 18), (2, 2, 9), "windows need"),     # values are not [B, H, Nk, dv]
+        ((2, 4, 3, 3), (2, 9, 8), (2, 2, 9, 2), "do not match"),   # keys' dk is not c*kernel^2
+    ], ids=["heads", "batch", "q_rank", "v_rank", "dk"])
+    def test_windows_form_shape_errors(self, q_shape, k_shape, v_shape, message):
+        with pytest.raises(ShapeError, match=f"attention: .*{message}"):
+            attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
+                      Tensor(np.zeros(v_shape)), kernel=3)
 
     def test_shape_errors(self):
         for q_shape, k_shape, v_shape, bias_shape in [
@@ -343,6 +457,12 @@ class TestConv2dGrouped:
         assert np.array_equal(grads[w], np.zeros((6, 2, 3, 3)))
         assert np.array_equal(grads[bias], np.zeros(6))
 
+    def test_kernel_of_extent_zero_rejected(self):
+        # a 0x0 kernel would return the bias alone and count 0 MACs
+        with pytest.raises(ShapeError, match=re.escape("conv2d: weight must be [C_out, C_in/G, k, k] "
+                                                       "with k >= 1, got (1, 1, 0, 0)")):
+            conv2d_grouped(_zeros(1, 1, 5, 5), _zeros(1, 1, 0, 0), _zeros(1))
+
     @pytest.mark.parametrize("batch", [0, 3])
     def test_kernel_too_large_for_any_batch(self, batch):
         with pytest.raises(ShapeError, match="conv2d: kernel 6 too large for input 3x4 with padding 1"):
@@ -432,6 +552,9 @@ class TestPlumbing:
         with pytest.raises(ShapeError, match=message):  # a constant operand too
             getattr(tz, op)(Tensor(np.zeros((2, 3))), np.zeros(4))
 
+    def test_repr_names_the_shape(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+
     def test_reshape_error(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))).reshape(4, 2)
@@ -483,7 +606,7 @@ class TestFiniteChecks:
         lambda x: tz.slice_axis(x, 0, 0, 1),
         lambda x: tz.broadcast_to(x, (3, 2, 2)),
         lambda x: concat([x, x], axis=0),
-        lambda x: tz.unfold(x.reshape(1, 1, 2, 2), 1),
+        lambda x: unfold(x.reshape(1, 1, 2, 2), 1),
         lambda x: tz.gather_last(x, [0, 1]),
     ], ids=["transpose", "reshape", "slice_axis", "broadcast_to", "concat", "unfold",
             "gather_last"])

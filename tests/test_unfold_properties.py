@@ -1,6 +1,6 @@
-"""Property tests of `unfold` and `conv2d_grouped`, over random
-shapes drawn by hypothesis (derandomized, so every run draws the same
-examples)."""
+"""Property tests of `conv2d_grouped` and of the reference `unfold` it is
+tested against (`test_tensor.unfold`), over random shapes drawn by
+hypothesis (derandomized, so every run draws the same examples)."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skattn import MacCounter, Rng, ShapeError, Tape, Tensor, backward, conv2d_grouped
 from skattn import tensor as tz
-from skattn.tensor import unfold
 from oracles import brute_conv2d
-from test_tensor import composed_conv2d
+from test_tensor import composed_conv2d, unfold
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
