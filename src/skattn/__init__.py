@@ -9,10 +9,10 @@ from .former import (Block, LayerNorm, Mlp, Model, ModelConfig, StageConfig,
                      build_model, canonical_kind, count_parameters, load_checkpoint,
                      save_checkpoint)
 from .mixers import (ACTIVATIONS, KINDS, Attention, MixerConfig, MixerProperties, SepConv,
-                     TokenMixer, attention_trace, build_mixer, mixer_properties)
-from .tensor import (MacCounter, Rng, Tensor, attention, concat, conv2d_grouped, dropout,
-                     finite_checks, gather_last, gelu, layer_norm, log_softmax_rows, matmul,
-                     mean, relu, reshape, slice_axis, softmax_rows, transpose)
+                     TokenMixer, build_mixer, mixer_properties)
+from .tensor import (AttentionMaps, MacCounter, Rng, Tensor, attention, concat, conv2d_grouped,
+                     dropout, finite_checks, gather_last, gelu, layer_norm, log_softmax_rows,
+                     matmul, mean, relu, reshape, slice_axis, softmax_rows, transpose)
 from .train import (AdamW, Dataset, RunLog, Sgd, TrainConfig, clip_grad_norm,
                     cross_entropy, evaluate, load_idx_images, step, synth_dataset, train)
 

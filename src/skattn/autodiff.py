@@ -94,8 +94,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         if g is None:
             continue
         for t, gt in zip(inputs, bwd(g)):
-            if gt is None:
-                continue
             prev = grads.get(t)
             grads[t] = gt if prev is None else prev + gt
 

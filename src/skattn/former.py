@@ -81,8 +81,8 @@ class Block(Module):
         self.norm2 = self.add_module("norm2", LayerNorm(dim))
         self.mlp = self.add_module("mlp", Mlp(dim, int(round(mlp_ratio * dim)), rng.split("mlp")))
 
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
-        x = x + self.mixer(self.norm1(x), attn_sink)
+    def forward(self, x: Tensor) -> Tensor:
+        x = x + self.mixer(self.norm1(x))
         return x + self.mlp(self.norm2(x))
 
 
@@ -187,9 +187,9 @@ class Stage(Module):
             self.add_module(f"block{i}", block)
             self.blocks.append(block)
 
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         for block in self.blocks:
-            x = block(x, attn_sink)
+            x = block(x)
         return x
 
 
@@ -271,16 +271,16 @@ class Model(Module):
             tokens = T.concat([cls_tok, tokens], axis=1)
         return tokens
 
-    def forward(self, images, attn_sink: list | None = None) -> Tensor:
+    def forward(self, images) -> Tensor:
         """The logits of `_forward`, with one finite check when `finite_checks`
         is on: the images and every parameter are scanned once, the forward
         runs with per-op scans off and numpy's floating-point flags raising,
         and the logits are scanned once. After a raised flag or non-finite
-        logits, the active tape, `attn_sink` and MAC counters are rolled back
-        and the forward is replayed with per-op scans on, which name the first
-        op that made a non-finite value."""
+        logits, the active tape, attention-map recorders and MAC counters are
+        rolled back and the forward is replayed with per-op scans on, which
+        name the first op that made a non-finite value."""
         if not T._FINITE_CHECKS[0]:
-            return self._forward(images, attn_sink)
+            return self._forward(images)
         x = images if isinstance(images, Tensor) else Tensor(images)
         leaves = [("input images", x)] + [(f"parameter '{p.name}'", p.tensor)
                                           for p in self.named_parameters()]
@@ -288,31 +288,32 @@ class Model(Module):
             if not np.isfinite(t.data).all():
                 raise NumericsError(f"non-finite values in {what}")
         entries = T._TAPES[-1].entries if T._TAPES else []
-        n_entries, n_maps = len(entries), len(attn_sink or ())
+        n_entries = len(entries)
         macs = [counter.macs for counter in T._MAC_COUNTERS]
+        n_maps = [len(maps) for maps in T._ATTENTION_MAPS]
         try:
             with T.finite_checks(False), np.errstate(over="raise", invalid="raise", divide="raise"):
-                out = self._forward(x, attn_sink)
+                out = self._forward(x)
             if np.isfinite(out.data).all():
                 return out
         except FloatingPointError:
             pass
         del entries[n_entries:]
-        if attn_sink is not None:
-            del attn_sink[n_maps:]
         for counter, n in zip(T._MAC_COUNTERS, macs):
             counter.macs = n
-        out = self._forward(x, attn_sink)
+        for maps, n in zip(T._ATTENTION_MAPS, n_maps):
+            del maps[n:]
+        out = self._forward(x)
         if not np.isfinite(out.data).all():
             raise NumericsError("non-finite values in the model output")
         return out
 
-    def _forward(self, images, attn_sink: list | None = None) -> Tensor:
+    def _forward(self, images) -> Tensor:
         tokens = self.embed(images)
         for s, stage in enumerate(self.stages):
             if s > 0:
                 tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
-            tokens = stage(tokens, attn_sink)
+            tokens = stage(tokens)
         x = self.norm(tokens)
         if self.cls is not None:
             readout = T.slice_axis(x, 1, 0, 1).reshape(x.shape[0], x.shape[2])
@@ -322,14 +323,20 @@ class Model(Module):
 
     def attention_maps(self, images) -> list[tuple[str, str, np.ndarray | None]]:
         """Head-averaged post-activation attention per block, in depth order,
-        captured during one forward pass.
+        captured during one eval-mode forward pass (the caller's mode is
+        restored, and dropout streams do not advance).
 
         Returns (block_name, mixer_kind, map) triples; sepconv blocks yield
         None (they have no attention map).
         """
-        sink: list[np.ndarray] = []
-        self.forward(images, attn_sink=sink)
-        captured = iter(sink)  # one entry per attention block, in depth order
+        was_training = self.training
+        self.eval()
+        try:
+            with T.AttentionMaps() as recorded:
+                self.forward(images)
+        finally:
+            self.train(was_training)
+        captured = iter(recorded)  # one entry per attention block, in depth order
         maps = []
         for s, stage in enumerate(self.stages):
             for i, block in enumerate(stage.blocks):

@@ -181,9 +181,6 @@ class TokenMixer(Module):
             out = T.dropout(out, self.cfg.dropout, self._drop_rng)
         return out
 
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
-        raise NotImplementedError
-
 
 class Attention(TokenMixer):
     """One attention mixer for mhsa, ska and cska; the kind picks the logits.
@@ -216,7 +213,8 @@ class Attention(TokenMixer):
     product with the values are one `tensor.attention` entry; cska with a
     CLS token and the ablation activations run it as a chain of primitives
     (softmax as `softmax_rows`, cska's logits from `conv2d_grouped`).
-    ``attn_sink``, when given, receives a copy of the post-activation map.
+    Either way an active `tensor.AttentionMaps` receives a copy of the
+    post-activation map.
     """
 
     def __init__(self, cfg: MixerConfig, rng: Rng):
@@ -277,7 +275,7 @@ class Attention(TokenMixer):
         rows = T.concat([cls_row, spatial], axis=2)                              # [B, H, N+1, N]
         return T.concat([cls_col, rows], axis=3)                                 # [B, H, N+1, N+1]
 
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
         if cfg.kind != "mhsa" and x.shape[1] != cfg.total_tokens:
             raise ShapeError(
@@ -292,7 +290,7 @@ class Attention(TokenMixer):
         fused = cfg.activation == "softmax" and not (cfg.kind == "cska" and cfg.cls_token)
         if fused:
             qh, kh, bias = self._query_key(x, q)
-            out = T.attention(qh, kh, v, scale, bias, sink=attn_sink,
+            out = T.attention(qh, kh, v, scale, bias,
                               kernel=cfg.kernel if cfg.kind == "cska" else None)
         elif cfg.kind == "cska":  # a grouped conv with one output channel per (head, key)
             logits = T.conv2d_grouped(self._query_image(q), self.conv_w, self.conv_b,
@@ -315,8 +313,7 @@ class Attention(TokenMixer):
             else:
                 r = T.relu(logits)
                 attn = T.mul(T.mul(r, r), self.act_scale) + self.act_bias
-            if attn_sink is not None:
-                attn_sink.append(np.copy(attn.data))
+            T.AttentionMaps.record(attn.data)
             out = T.matmul(attn, v)
         out = T.matmul(_merge_heads(out), self.wo)
         if self.bo is not None:
@@ -344,7 +341,7 @@ class SepConv(TokenMixer):
             self.bdw = self.register("bdw", Tensor(np.zeros(d)))
             self.b2 = self.register("b2", Tensor(np.zeros(d)))
 
-    def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
         b, n, d = x.shape
         gh, gw = cfg.grid
@@ -365,18 +362,3 @@ class SepConv(TokenMixer):
 
 def build_mixer(cfg: MixerConfig, rng: Rng) -> TokenMixer:
     return (SepConv if cfg.kind == "sepconv" else Attention)(cfg, rng)
-
-
-def attention_trace(mixer: TokenMixer, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """Run a forward pass capturing the post-activation attention weights.
-
-    Returns (attn [B, H, Nq, Nk], head_average [B, Nq, Nk]). The captured
-    copy does not alter the forward result. Raises for sepconv, which has
-    no attention map.
-    """
-    if mixer.kind == "sepconv":
-        raise ConfigError("sepconv has no attention map")
-    sink: list[np.ndarray] = []
-    mixer.forward(x, attn_sink=sink)
-    attn = sink[0]
-    return attn, attn.mean(axis=1)

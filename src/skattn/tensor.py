@@ -26,6 +26,7 @@ from .errors import NumericsError, ShapeError
 
 _TAPES: list["Tape"] = []
 _MAC_COUNTERS: list["MacCounter"] = []
+_ATTENTION_MAPS: list["AttentionMaps"] = []
 _FINITE_CHECKS = [True]
 
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
@@ -140,6 +141,30 @@ class MacCounter:
     def __exit__(self, exc_type, exc, tb):
         popped = _MAC_COUNTERS.pop()
         assert popped is self
+
+
+class AttentionMaps(list):
+    """Receives a copy of every attention map computed while active: the
+    post-activation weights [B, H, Nq, Nk] of each attention entry or chain,
+    in execution order. Used as a context manager::
+
+        with AttentionMaps() as maps:
+            model(x)
+    """
+
+    def __enter__(self) -> "AttentionMaps":
+        _ATTENTION_MAPS.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        popped = _ATTENTION_MAPS.pop()
+        assert popped is self
+
+    @staticmethod
+    def record(weights: np.ndarray) -> None:
+        """Append a copy of `weights` to every active recorder."""
+        for maps in _ATTENTION_MAPS:
+            maps.append(weights.copy())
 
 
 class finite_checks:
@@ -315,6 +340,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     xd = _data(x)
+    if not (-xd.ndim <= axis < xd.ndim and 0 <= start <= stop <= xd.shape[axis]):
+        raise ShapeError(f"slice_axis: [{start}, {stop}) is not a range of axis {axis} of {xd.shape}")
     index = [slice(None)] * xd.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
@@ -535,35 +562,15 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(y, "softmax_rows", (x,), bwd)
 
 
-class _ChunkGrad:
-    """The gradient of an operand of `attention` that broadcasts against the
-    chunked extents `lead`, gathered chunk by chunk.
-
-    An operand with the full axis 0 takes each chunk's `_unbroadcast` in its
-    slice. Otherwise the chunks are summed over axis 0 row by row, in the
-    order of numpy's own reduction over that axis, so the result equals
-    `_unbroadcast` of the whole gradient bit for bit.
-    """
-
-    def __init__(self, shape: tuple[int, ...], lead: tuple[int, ...]):
-        self.shape = shape
-        self.full = len(shape) == len(lead) + 2 and shape[0] == lead[0]
-        self.grad = np.empty(shape) if self.full else None
-
-    def add(self, sl: slice, g: np.ndarray) -> None:
-        if self.full:
-            self.grad[sl] = _unbroadcast(g, g.shape[:1] + self.shape[1:])
-        elif self.grad is None:
-            self.grad = g.sum(axis=0)
-        else:
-            for row in g:
-                self.grad += row
-
-    def result(self) -> np.ndarray:
-        if self.full:
-            return self.grad
-        tail = self.shape[1:] if len(self.shape) == self.grad.ndim + 1 else self.shape
-        return _unbroadcast(self.grad, tail).reshape(self.shape)
+def _add_rows(acc: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """`acc` plus the sum of `g` over axis 0 (that sum alone when `acc` is
+    None), its rows added one by one in the order of numpy's own reduction
+    over that axis: summing chunk by chunk equals one `g.sum(axis=0)` bit for bit."""
+    if acc is None:
+        return g.sum(axis=0)
+    for row in g:
+        acc += row
+    return acc
 
 
 def _add_windows(gx: np.ndarray, g6: np.ndarray) -> None:
@@ -578,117 +585,118 @@ def _add_windows(gx: np.ndarray, g6: np.ndarray) -> None:
             gx[:, :, y0:y1, x0:x1] += g6[:, :, i, j, y0 + pad - i:y1 + pad - i, x0 + pad - j:x1 + pad - j]
 
 
-def attention(q, k, v, scale: float = 1.0, bias=None, sink: list | None = None,
-              kernel: int | None = None) -> Tensor:
-    """Fused softmax(scale * (q @ k^T + bias)) @ v for queries [..., Nq, dk],
-    keys [..., Nk, dk] and values [..., Nk, dv].
+def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None) -> Tensor:
+    """Fused softmax(scale * (q @ k^T + bias)) @ v for queries [B, H, Nq, dk],
+    keys [B, H, Nk, dk] (mhsa) or one [H, Nk, dk] shared by every batch row
+    (ska, cska), values [B, H, Nk, dv] and an optional bias [H, 1, Nk] (cska).
+    Any other shape is a ShapeError.
 
-    v has q's leading extents; k and the optional bias broadcast against
-    them (bias against the [..., Nq, Nk] logits). The work runs in chunks
-    along axis 0 whose logits take about `_CHUNK_BYTES`. Each chunk's logits
-    are computed straight into the weights P, kept whole only when backward
-    or `sink` (which gets a copy) reads them; backward computes each chunk's
-    logit gradient dS in one chunk-sized scratch buffer. The arithmetic runs
-    in the order of matmul -> add -> mul -> softmax_rows -> matmul, so the
-    output equals that chain bit for bit. Counts Nq*Nk*(dk + dv) MACs per
-    map, as the chain's two matmuls do.
+    The work runs in chunks of batch rows whose logits take about
+    `_CHUNK_BYTES`. Each chunk's logits are computed straight into the
+    weights P, kept whole only when backward or an active `AttentionMaps`
+    (which gets a copy) reads them; backward computes each chunk's logit
+    gradient dS in one chunk-sized scratch buffer, and sums a shared key's
+    and the bias's gradients over the batch rows in numpy's own order. The
+    arithmetic runs in the order of matmul -> add -> mul -> softmax_rows ->
+    matmul, so the output equals that chain bit for bit. Counts
+    Nq*Nk*(dk + dv) MACs per map, as the chain's two matmuls do.
 
     With `kernel`, the windows form (cska): q is a query image [B, H*c, gh,
-    gw], v is [B, H, Nk, dv], and head h's gh*gw queries are the same-padded
-    kernel x kernel windows of its c channels (dk = c*kernel^2, ordered
-    (c, i, j)). Each chunk's windows are copied just before its logits
-    product, and all are kept only when a tape records a key Tensor, whose
-    gradient reads them. Backward writes each chunk's window gradient in
-    that [dk, Nq] layout and adds its taps onto q's gradient.
+    gw], and head h's gh*gw queries are the same-padded kernel x kernel
+    windows of its c channels (dk = c*kernel^2, ordered (c, i, j)). Each
+    chunk's windows are copied just before its logits product, and all are
+    kept only when a tape records a key Tensor, whose gradient reads them.
+    Backward writes each chunk's window gradient in that [dk, Nq] layout and
+    adds its taps onto q's gradient.
     """
     qd, kd, vd = _data(q), _data(k), _data(v)
     bd = None if bias is None else _data(bias)
     if kernel is None:
-        if qd.ndim < 2 or kd.ndim < 2 or vd.ndim != qd.ndim:
-            raise ShapeError(f"attention: need [..., Nq, dk] queries, [..., Nk, dk] keys and "
-                             f"[..., Nk, dv] values, got {qd.shape}, {kd.shape} and {vd.shape}")
-        lead, (nq, dk) = qd.shape[:-2] or (1,), qd.shape[-2:]  # one map gets a leading axis to chunk along
+        if qd.ndim != 4 or vd.ndim != 4:
+            raise ShapeError(f"attention: need [B, H, Nq, dk] queries and [B, H, Nk, dv] values, "
+                             f"got {qd.shape} and {vd.shape}")
+        nq, dk = qd.shape[2:]
     elif (kernel < 1 or kernel % 2 == 0 or qd.ndim != 4 or vd.ndim != 4 or vd.shape[1] < 1
           or qd.shape[0] != vd.shape[0] or qd.shape[1] % vd.shape[1]):
         raise ShapeError(f"attention: windows need an odd kernel >= 1, a [B, H*c, gh, gw] query image "
                          f"and [B, H, Nk, dv] values, got {kernel}, {qd.shape} and {vd.shape}")
     else:
-        lead, nq, dk = vd.shape[:2], qd.shape[2] * qd.shape[3], qd.shape[1] // vd.shape[1] * kernel * kernel
-    nk, dv = vd.shape[-2:]
-    if kd.shape[-2:] != (nk, dk) or nk == 0 or kernel is None and vd.shape[:-2] != qd.shape[:-2]:
-        raise ShapeError(f"attention: queries {qd.shape}, keys {kd.shape} and values "
-                         f"{vd.shape} do not match")
-    v3 = vd.reshape(lead + (nk, dv))
-    try:
-        kb = np.broadcast_to(kd, lead + (nk, dk))
-        bb = None if bd is None else np.broadcast_to(bd, lead + (nq, nk))
-    except ValueError:
-        raise ShapeError(f"attention: keys {kd.shape} or bias {None if bd is None else bd.shape} "
-                         f"do not broadcast against queries {qd.shape}") from None
-    step = _chunk_rows(8 * math.prod(lead[1:]) * nq * nk)
-    # an empty batch still gets one (empty) chunk, which sums a broadcast operand's zero gradient
-    chunks = [slice(i, min(i + step, lead[0])) for i in range(0, max(lead[0], 1), step)]
+        nq, dk = qd.shape[2] * qd.shape[3], qd.shape[1] // vd.shape[1] * kernel * kernel
+    B, H, nk, dv = vd.shape
+    if (kd.shape not in ((B, H, nk, dk), (H, nk, dk)) or nk == 0
+            or kernel is None and qd.shape[:2] != (B, H)
+            or bd is not None and bd.shape != (H, 1, nk)):
+        raise ShapeError(f"attention: queries {qd.shape}, keys {kd.shape}, values {vd.shape} and "
+                         f"bias {None if bd is None else bd.shape} do not match")
+    shared = kd.ndim == 3
+    step = _chunk_rows(8 * H * nq * nk)
+    # an empty batch still gets one (empty) chunk, which sums a shared operand's zero gradient
+    chunks = [slice(i, min(i + step, B)) for i in range(0, max(B, 1), step)]
 
-    def buffer(whole: bool, tail: tuple) -> np.ndarray:  # for every row along axis 0, or one chunk's
-        return np.empty(((lead[0] if whole else min(step, lead[0])),) + lead[1:] + tail)
+    def buffer(whole: bool, tail: tuple) -> np.ndarray:  # for every batch row, or one chunk's
+        return np.empty((B if whole else min(step, B), H) + tail)
 
     def rows(buf: np.ndarray, sl: slice) -> np.ndarray:  # a chunk's rows of either kind of buffer
-        return buf[sl] if len(buf) == lead[0] else buf[:sl.stop - sl.start]
+        return buf[sl] if len(buf) == B else buf[:sl.stop - sl.start]
+
+    def keys(sl: slice) -> np.ndarray:
+        return kd if shared else kd[sl]
 
     taped = bool(_TAPES) and any(isinstance(t, Tensor) for t in (q, k, v, bias))
-    if kernel is None:  # the queries as [..., dk, Nq], as the key gradient reads them
-        cols = np.swapaxes(qd.reshape(lead + (nq, dk)), -1, -2)
+    if kernel is None:  # the queries as [B, H, dk, Nq], as the key gradient reads them
+        cols = np.swapaxes(qd, -1, -2)
     else:
         cols = buffer(taped and isinstance(k, Tensor), (dk, nq))
-    p, out = buffer(taped or sink is not None, (nq, nk)), np.empty(lead + (nq, dv))
+    p, out = buffer(taped or bool(_ATTENTION_MAPS), (nq, nk)), np.empty((B, H, nq, dv))
     for sl in chunks:
         if kernel is not None:
             win = _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention")
             rows(cols, sl).reshape(win.shape)[...] = win
         pc = rows(p, sl)
-        np.matmul(np.swapaxes(rows(cols, sl), -1, -2), np.swapaxes(kb[sl], -1, -2), out=pc)
-        if bb is not None:
-            pc += bb[sl]
+        np.matmul(np.swapaxes(rows(cols, sl), -1, -2), np.swapaxes(keys(sl), -1, -2), out=pc)
+        if bd is not None:
+            pc += bd
         pc *= scale
         _softmax_inplace(pc)
-        np.matmul(pc, v3[sl], out=out[sl])
-    if sink is not None:
-        sink.append(p.reshape(vd.shape[:-2] + (nq, nk)).copy())
-    _add_macs(math.prod(lead) * nq * nk * (dk + dv))
+        np.matmul(pc, vd[sl], out=out[sl])
+    AttentionMaps.record(p)
+    _add_macs(B * H * nq * nk * (dk + dv))
 
     def bwd(g):
-        g3 = g.reshape(lead + (nq, dv))
-        dq = None if not isinstance(q, Tensor) else np.empty(lead + (nq, dk)) if kernel is None else np.zeros(qd.shape)
+        dq = None if not isinstance(q, Tensor) else np.empty(qd.shape) if kernel is None else np.zeros(qd.shape)
         dcols = None if dq is None or kernel is None else buffer(False, (dk, nq))  # a chunk's window gradient
-        dkt = _ChunkGrad(kd.shape[:-2] + (dk, nk), lead) if isinstance(k, Tensor) else None
-        dvs = np.empty(v3.shape) if isinstance(v, Tensor) else None
-        db = _ChunkGrad(bd.shape, lead) if isinstance(bias, Tensor) else None
-        scratch = np.empty((2, min(step, lead[0])) + lead[1:] + (nq, nk))  # dS and a temporary
+        # a shared key's gradient, like the bias's, is summed over batch rows by `_add_rows`
+        dkt = np.empty((B, H, dk, nk)) if isinstance(k, Tensor) and not shared else None
+        dvs = np.empty(vd.shape) if isinstance(v, Tensor) else None
+        db = None
+        scratch = np.empty((2, min(step, B), H, nq, nk))  # dS and a temporary
         for sl in chunks:
-            pc, gc = p[sl], g3[sl]
+            pc, gc = p[sl], g[sl]
             if dvs is not None:
                 np.matmul(np.swapaxes(pc, -1, -2), gc, out=dvs[sl])
             ds, tmp = scratch[:, :pc.shape[0]]
-            np.matmul(gc, np.swapaxes(v3[sl], -1, -2), out=ds)
+            np.matmul(gc, np.swapaxes(vd[sl], -1, -2), out=ds)
             _softmax_grad_inplace(ds, pc, tmp)
             ds *= scale
             if dcols is not None:
                 dc = rows(dcols, sl)
-                np.matmul(ds, kb[sl], out=np.swapaxes(dc, -1, -2))
+                np.matmul(ds, keys(sl), out=np.swapaxes(dc, -1, -2))
                 _add_windows(dq[sl], dc.reshape((-1, qd.shape[1], kernel, kernel) + qd.shape[2:]))
             elif dq is not None:
-                np.matmul(ds, kb[sl], out=dq[sl])
-            if dkt is not None:
-                dkt.add(sl, np.matmul(cols[sl], ds))
-            if db is not None:
-                db.add(sl, ds)
-        grads = (None if dq is None else dq.reshape(qd.shape),
-                 None if dkt is None else np.swapaxes(dkt.result(), -1, -2),
-                 None if dvs is None else dvs.reshape(vd.shape),
-                 None if db is None else db.result())
+                np.matmul(ds, keys(sl), out=dq[sl])
+            if isinstance(k, Tensor) and shared:
+                dkt = _add_rows(dkt, np.matmul(cols[sl], ds))
+            elif isinstance(k, Tensor):
+                np.matmul(cols[sl], ds, out=dkt[sl])
+            if isinstance(bias, Tensor):
+                db = _add_rows(db, ds)
+        grads = (dq,
+                 None if dkt is None else np.swapaxes(dkt, -1, -2),
+                 dvs,
+                 None if db is None else db.sum(axis=1, keepdims=True))
         return tuple(g for g in grads if g is not None)
 
-    return _make(out.reshape(vd.shape[:-2] + (nq, dv)), "attention", (q, k, v, bias), bwd)
+    return _make(out, "attention", (q, k, v, bias), bwd)
 
 
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from skattn import (MixerConfig, ModelConfig, Rng, Tensor, TrainConfig,
-                    attention_trace, build_mixer, build_model, closed_form, count_ops,
+from skattn import (AttentionMaps, MixerConfig, ModelConfig, Rng, Tensor, TrainConfig,
+                    build_mixer, build_model, closed_form, count_ops,
                     counting_config, emit_curves, grad_check, load_checkpoint,
                     save_checkpoint, synth_dataset, train)
 from skattn.cli import main as cli_main
@@ -138,7 +138,9 @@ def test_criterion_5_structural_invariants():
         cfg = counting_config(kind, 16, 8, heads=2)
         cfg.qkv_bias = True
         mixer = build_mixer(cfg, Rng(0))
-        attn, _ = attention_trace(mixer, Tensor(Rng(1).normal((2, 16, 8))))
+        with AttentionMaps() as maps:
+            mixer(Tensor(Rng(1).normal((2, 16, 8))))
+        (attn,) = maps
         assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12, kind
         assert attn.min() >= 0.0, kind
 
@@ -162,8 +164,10 @@ def test_criterion_5_structural_invariants():
         plain_cfg.scaled = False
         plain = build_mixer(plain_cfg, Rng(3))
         xt = Tensor(Rng(4).normal((2, 16, 8)))
-        a1, _ = attention_trace(scaled, xt)
-        a2, _ = attention_trace(plain, xt)
+        with AttentionMaps() as maps:
+            scaled(xt)
+            plain(xt)
+        a1, a2 = maps
         assert np.array_equal(np.argmax(a1, axis=-1), np.argmax(a2, axis=-1)), kind
 
     report(5, True, f"row sums within 1e-12, mhsa equivariance gap {equiv_gap:.1e}, "

@@ -1,7 +1,7 @@
 """Property tests of the fused `attention` entry against the composed chain,
-and of its windows form against the unfold chain, over random shapes,
-broadcasts and chunk budgets drawn by hypothesis (derandomized, so every run
-draws the same examples)."""
+and of its windows form against the unfold chain, over random shapes, key
+and bias forms and chunk budgets drawn by hypothesis (derandomized, so every
+run draws the same examples)."""
 
 from unittest import mock
 
@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from skattn import MacCounter, Rng, ShapeError, Tape, Tensor, attention, backward
+from skattn import AttentionMaps, MacCounter, Rng, ShapeError, Tape, Tensor, attention, backward
 from skattn import tensor as tz
 from test_tensor import _grads, composed_attention, unfold
 
@@ -20,17 +20,14 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=N
 
 @st.composite
 def attention_shapes(draw):
-    """(q, k, v, bias-or-None) shapes of a valid call: k and bias broadcast
-    against q's leading extents, by dropping leading axes or by extent 1."""
-    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    """(q, k, v, bias-or-None) shapes of a valid call: [B, H, Nq, dk] queries,
+    [B, H, Nk, dv] values, a [B, H, Nk, dk] key or one [H, Nk, dk] shared by
+    every batch row, and no bias or a [H, 1, Nk] one."""
+    b, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     nq, nk, dk, dv = (draw(st.integers(1, 5)) for _ in range(4))
-
-    def broadcast(full):
-        dropped = full[draw(st.integers(0, len(full))):]
-        return tuple(1 if draw(st.booleans()) else n for n in dropped)
-
-    bias = broadcast((*lead, nq, nk)) if draw(st.booleans()) else None
-    return (*lead, nq, dk), broadcast(lead) + (nk, dk), (*lead, nk, dv), bias
+    key = (h, nk, dk) if draw(st.booleans()) else (b, h, nk, dk)
+    bias = (h, 1, nk) if draw(st.booleans()) else None
+    return (b, h, nq, dk), key, (b, h, nk, dv), bias
 
 
 def _tensors(shapes, seed):
@@ -60,21 +57,29 @@ def test_fused_equals_chain(shapes, budget, scale, seed):
 
 @PROPERTY
 @given(attention_shapes(), st.integers(0, 2 ** 32),
-       st.sampled_from(["nk", "dk", "v_lead", "k_lead", "bias", "rank"]))
+       st.sampled_from(["nk", "dk", "v_batch", "k_batch", "k_heads", "bias_rows", "bias_rank",
+                        "q_rank", "v_rank"]))
 def test_mismatched_shapes_raise_shape_error(shapes, seed, fault):
     q, k, v, bias = shapes
+    b, h, nq, _ = q
     if fault == "nk":
         v = v[:-2] + (v[-2] + 1, v[-1])
     elif fault == "dk":
         k = k[:-1] + (k[-1] + 1,)
-    elif fault == "v_lead":
-        v = (2,) + v
-    elif fault == "k_lead":
-        k = (q[0] + 1,) + q[1:-2] + k[-2:]  # an extent that neither matches nor is 1
-    elif fault == "bias":
-        bias = (q[-2] + 1, k[-2])
+    elif fault == "v_batch":
+        v = (b + 1,) + v[1:]
+    elif fault == "k_batch":
+        k = (b + 1, h) + k[-2:]
+    elif fault == "k_heads":
+        k = (h + 1,) + k[-2:]
+    elif fault == "bias_rows":
+        bias = (h, nq + 1, k[-2])
+    elif fault == "bias_rank":
+        bias = (1, h, 1, k[-2])
+    elif fault == "q_rank":
+        q = q[1:]
     else:
-        q = q[-1:]
+        v = v[1:]
     q_t, k_t, v_t, bias_t = _tensors((q, k, v, bias), seed)
     with pytest.raises(ShapeError):
         attention(q_t, k_t, v_t, 0.5, bias_t)
@@ -91,24 +96,25 @@ def windows_shapes(draw):
             draw(st.sampled_from([(h,), (b, h)])))
 
 
-def _windows_chain(q, k, v, scale, bias, sink, kernel):
+def _windows_chain(q, k, v, scale, bias, kernel):
     """The windows form's reference: the reference unfold, its transpose, then
     the plain fused entry (the path cska took before the windows form)."""
     cols = unfold(q, kernel, padding=(kernel - 1) // 2, groups=v.shape[1])
-    return attention(cols.transpose(0, 1, 3, 2), k, v, scale, bias, sink)
+    return attention(cols.transpose(0, 1, 3, 2), k, v, scale, bias)
 
 
-def _windows_form(q, k, v, scale, bias, sink, kernel):
-    return attention(q, k, v, scale, bias, sink, kernel=kernel)
+def _windows_form(q, k, v, scale, bias, kernel):
+    return attention(q, k, v, scale, bias, kernel=kernel)
 
 
 @PROPERTY
 @given(windows_shapes(), st.booleans(), st.sampled_from([1, None]), st.sampled_from([1.0, 0.35]),
        st.integers(0, 2 ** 32))
 def test_windows_form_equals_the_unfold_chain(shape, with_bias, budget, scale, seed):
-    # forward, sink, every gradient and the MACs bit for bit, at a budget of
-    # one batch row per chunk (1 byte) and at the default; an untaped forward,
-    # which reuses one chunk of windows and weights, equals a taped one
+    # forward, recorded map, every gradient and the MACs bit for bit, at a
+    # budget of one batch row per chunk (1 byte) and at the default; an
+    # untaped forward with no recorder, which reuses one chunk of windows and
+    # weights, equals a taped one
     b, h, c, gh, gw, kernel, nk, dv, k_lead = shape
     q, k, v, bias = _tensors(((b, h * c, gh, gw), k_lead + (nk, c * kernel * kernel),
                               (b, h, nk, dv), (h, 1, nk) if with_bias else None), seed)
@@ -116,15 +122,14 @@ def test_windows_form_equals_the_unfold_chain(shape, with_bias, budget, scale, s
     w = Rng(seed + 1).normal((b, h, gh * gw, dv))
 
     def run(fn):
-        sink = []
-        with MacCounter() as counter:
+        with MacCounter() as counter, AttentionMaps() as maps:
             with Tape() as tape:
-                out = fn(q, k, v, scale, bias, sink, kernel)
+                out = fn(q, k, v, scale, bias, kernel)
                 loss = (out * w).sum()
         grads = backward(tape, loss)
-        untaped = fn(q, k, v, scale, bias, None, kernel).data
+        untaped = fn(q, k, v, scale, bias, kernel).data
         assert np.array_equal(untaped, out.data)
-        return [out.data, *sink] + [grads[t] for t in inputs], counter.macs
+        return [out.data, *maps] + [grads[t] for t in inputs], counter.macs
 
     with mock.patch.object(tz, "_CHUNK_BYTES", budget or tz._CHUNK_BYTES):
         got, got_macs = run(_windows_form)

@@ -299,13 +299,15 @@ class TestModule:
 
     def test_duplicate_name_rejected(self):
         class Bad(Module):
-            def __init__(self):
+            def __init__(self, second):
                 super().__init__()
                 self.register("w", Tensor(np.zeros(1)))
-                self.register("w", Tensor(np.zeros(1)))
+                second(self)
 
-        with pytest.raises(ValueError, match="duplicate"):
-            Bad()
+        for second in (lambda m: m.register("w", Tensor(np.zeros(1))),
+                       lambda m: m.add_module("w", Module())):
+            with pytest.raises(ValueError, match="duplicate name 'w'"):
+                Bad(second)
 
     def test_train_eval_recursive(self):
         class Leaf(Module):

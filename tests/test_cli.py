@@ -10,7 +10,7 @@ import scipy
 
 from skattn import (ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
                     load_checkpoint, load_idx_images, save_checkpoint)
-from skattn import cli
+from skattn import cli, complexity
 from skattn.cli import DEFAULT_CONFIG, load_config, main
 from test_train import _write_idx_pair
 
@@ -141,6 +141,16 @@ class TestCountCommand:
         assert "kernel 3" in captured.err
         assert "closed n/a" in captured.out
 
+    def test_closed_form_mismatch_exits_1(self, capsys, monkeypatch):
+        # the self-check: counted MACs that disagree with the closed form fail the command
+        real = complexity.closed_form
+        monkeypatch.setattr(complexity, "closed_form",
+                            lambda *a: (real(*a)[0] + 1,) + real(*a)[1:])
+        assert run("count", "--mixer", "ska", "--N", "16", "--D", "8", "--bias-free") == 1
+        captured = capsys.readouterr()
+        assert "closed form match: NO" in captured.out
+        assert "instrumented counts do not match the closed forms" in captured.err
+
     def test_flops_convention_2x(self, capsys):
         assert run("count", "--mixer", "mhsa", "--N", "16", "--D", "8", "--bias-free",
                    "--flops-convention", "2x") == 0
@@ -230,6 +240,15 @@ class TestAttnmapCommand:
                  "--images", images, "--out", str(tmp_path / "m"))
         assert rc == 2
         assert "--labels" in capsys.readouterr().err
+
+    def test_image_shape_mismatch_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        images, labels = _write_idx_pair(tmp_path, rng.integers(0, 256, size=(2, 4, 4)),
+                                         np.zeros(2), prefix="small")
+        rc = run("attnmap", "--checkpoint", str(self._checkpoint(tmp_path)),
+                 "--images", str(images), "--labels", str(labels), "--out", str(tmp_path / "m"))
+        assert rc == 2
+        assert "image shape (1, 4, 4) does not match model input (1, 8, 8)" in capsys.readouterr().err
 
     def test_labels_without_images_exits_2(self, tmp_path, capsys):
         _, labels = _write_idx(tmp_path, "probe", 2)
@@ -515,6 +534,14 @@ class TestCountGrid:
         assert run("count", "--mixer", "ska", "--N", "16", "--D", "8", "--grid", "2,8",
                    "--bias-free") == 0
 
+    @pytest.mark.parametrize("grid,message", [
+        ("1,2,3", "--grid expects 'GH,GW', got '1,2,3'"),
+        ("4,x", "--grid expects comma-separated integers, got '4,x'"),
+    ])
+    def test_malformed_grid_exits_2(self, grid, message, capsys):
+        assert run("count", "--mixer", "ska", "--N", "16", "--D", "8", "--grid", grid) == 2
+        assert message in capsys.readouterr().err
+
     def test_zero_tokens_exits_2(self, capsys):
         assert run("count", "--mixer", "cska", "--N", "0", "--D", "8") == 2
         assert "N must be >= 1" in capsys.readouterr().err
@@ -553,6 +580,18 @@ class TestConfigFileAsSetBatch:
         assert run("train", "--config", cfg_path, "--out", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
         assert "as int" in err and "train.batch_size" in err
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "config file not found"),
+        ("{", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+    ], ids=["missing", "not_json", "not_an_object"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
+        assert message in capsys.readouterr().err
 
     def test_other_json_types_are_normalised_to_the_leaf_type(self, tmp_path):
         cfg = load_config(_config_file(tmp_path, {"model": {"mlp_ratio": 2, "scaled": 0},

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from skattn import ConfigError, closed_form, count_ops, counting_config, emit_curves
+from skattn import (ConfigError, NumericsError, closed_form, count_ops, counting_config,
+                    emit_curves)
+from skattn import complexity
 
 
 class TestClosedForm:
@@ -116,6 +118,14 @@ class TestCurves:
     def test_vary_d_mode(self):
         _, rows = self._parse(emit_curves("vary_D", fixed=256, start=256, stop=256))
         assert float(rows[0][2]) == 384.0
+
+    def test_ordering_violation_raises(self, monkeypatch):
+        # the guard on the paper's ordering: a closed form that broke it is caught
+        real = complexity.closed_form
+        monkeypatch.setattr(complexity, "closed_form", lambda kind, n, d: (
+            (1, 1, Fraction(0)) if kind == "mhsa" else real(kind, n, d)))
+        with pytest.raises(NumericsError, match="ratio ordering violated at N=4, D=8"):
+            emit_curves("vary_N", fixed=8, start=4, stop=4)
 
     def test_range_validation(self):
         with pytest.raises(ConfigError):

@@ -6,11 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from skattn import (Block, CheckpointError, ConfigError, MacCounter, MixerConfig,
-                    Module, NumericsError, Rng, Tape, Tensor, attention_trace, backward,
+from skattn import (AdamW, AttentionMaps, Block, CheckpointError, ConfigError, MacCounter,
+                    MixerConfig, Module, NumericsError, Rng, Tape, Tensor, backward,
                     build_model, canonical_kind, count_parameters, cross_entropy,
                     finite_checks, grad_check, load_checkpoint, Model, ModelConfig,
-                    save_checkpoint)
+                    save_checkpoint, step, synth_dataset)
 from skattn import tensor as tz
 from oracles import brute_conv2d
 
@@ -178,15 +178,33 @@ class TestModel:
         mixers = [block.mixer for stage in model.stages for block in stage.blocks]
         inputs = {}
         for mixer in mixers:  # record the tokens that reach each mixer
-            def record(x, attn_sink=None, _mixer=mixer, _fwd=mixer.forward):
+            def record(x, _mixer=mixer, _fwd=mixer.forward):
                 inputs[id(_mixer)] = x
-                return _fwd(x, attn_sink)
+                return _fwd(x)
             mixer.forward = record
         maps = model.attention_maps(Rng(1).normal((2, 1, 8, 8)))
         assert [name for name, _, _ in maps] == ["stage0.block0", "stage1.block0", "stage1.block1"]
         for mixer, (name, _, avg) in zip(mixers, maps):
-            _, want = attention_trace(mixer, inputs[id(mixer)])
-            assert np.array_equal(avg, want), name
+            with AttentionMaps() as want:
+                mixer(inputs[id(mixer)])
+            assert len(want) == 1 and np.array_equal(avg, want[0].mean(axis=1)), name
+
+    def test_attention_maps_leave_training_untouched(self):
+        # the peek runs in eval mode, so the dropout streams do not advance and
+        # the caller's training mode is restored
+        data = synth_dataset("stripe_orientation", 16, (8, 8), seed=2)
+        losses = []
+        for peek in (False, True):
+            model = build_model(toy_model_config("ska", dropout=0.1), seed=0)
+            model.train(True)
+            opt = AdamW(model.named_parameters())
+            run = [step(model, data.images[:8], data.labels[:8], opt)]
+            if peek:
+                model.attention_maps(data.images[:2])
+                assert model.training and all(b.mixer.training for b in model.stages[0].blocks)
+            run.append(step(model, data.images[8:], data.labels[8:], opt))
+            losses.append(run)
+        assert losses[0] == losses[1]
 
     def test_cls_model_grad_check(self):
         cfg = ModelConfig(input=(1, 4, 4), patch=2, num_classes=2, mlp_ratio=1.0,
@@ -333,50 +351,49 @@ class TestCheckedForward:
         model, x = _nan_model(name)
         runs = []
         for on in (True, False):
-            sink = []
-            with finite_checks(on), Tape() as tape, MacCounter() as counter:
-                logits = model(x, attn_sink=sink)
+            with finite_checks(on), Tape() as tape, MacCounter() as counter, AttentionMaps() as rec:
+                logits = model(x)
             with finite_checks(on):
                 maps = model.attention_maps(x)
-            runs.append((logits.data, counter.macs, len(tape), sink, maps))
-        (a, macs_a, len_a, sink_a, maps_a), (b, macs_b, len_b, sink_b, maps_b) = runs
+            runs.append((logits.data, counter.macs, len(tape), rec, maps))
+        (a, macs_a, len_a, rec_a, maps_a), (b, macs_b, len_b, rec_b, maps_b) = runs
         assert np.array_equal(a, b) and macs_a == macs_b and len_a == len_b
         attention_blocks = sum(kind != "sepconv" for _, kind, _ in maps_a)
-        assert len(sink_a) == len(sink_b) == attention_blocks
-        assert all(np.array_equal(p, q) for p, q in zip(sink_a, sink_b))
+        assert len(rec_a) == len(rec_b) == attention_blocks
+        assert all(np.array_equal(p, q) for p, q in zip(rec_a, rec_b))
         assert [(n, k) for n, k, _ in maps_a] == [(n, k) for n, k, _ in maps_b]
         assert all((p is None and q is None) or np.array_equal(p, q)
                    for (_, _, p), (_, _, q) in zip(maps_a, maps_b))
 
     def test_floating_point_error_replays_and_rolls_back(self, monkeypatch):
         model, x = _nan_model("dwconv-cska-attn")
-        with finite_checks(False), Tape() as tape, MacCounter() as counter:
-            want = model(x, attn_sink=[]).data
+        with finite_checks(False), Tape() as tape, MacCounter() as counter, AttentionMaps():
+            want = model(x).data
         want_len, want_macs = len(tape), counter.macs
         forward = Model._forward
         calls = []
+        outer, inner = AttentionMaps(), AttentionMaps(["earlier map"])
 
-        def flaky(self, images, attn_sink=None):
-            out = forward(self, images, attn_sink)
-            calls.append(len(attn_sink))
-            if len(calls) == 1:  # the first pass has taped, counted and sunk all it would
+        def flaky(self, images):
+            out = forward(self, images)
+            calls.append(len(inner))
+            if len(calls) == 1:  # the first pass has taped, counted and recorded all it would
                 raise FloatingPointError("spurious flag")
             return out
 
         monkeypatch.setattr(Model, "_forward", flaky)
-        sink = ["earlier map"]
-        with finite_checks(True), Tape() as tape, MacCounter() as counter:
-            got = model(x, attn_sink=sink)
-        assert calls == [3, 3]  # the replay started from the rolled-back sink
+        with finite_checks(True), Tape() as tape, MacCounter() as counter, outer, inner:
+            got = model(x)
+        assert calls == [3, 3]  # the replay started from the rolled-back recorders
         assert np.array_equal(got.data, want)
         assert len(tape) == want_len and counter.macs == want_macs
-        assert sink[0] == "earlier map" and len(sink) == 3
+        assert inner[0] == "earlier map" and len(inner) == 3 and len(outer) == 2
         assert tape.entries[-1][0] is got
 
     def test_non_finite_output_of_a_clean_replay_is_named(self, monkeypatch):
         model, x = _nan_model("ska")
         monkeypatch.setattr(Model, "_forward",
-                            lambda self, images, attn_sink=None: Tensor(np.array([[np.nan, 0.0]])))
+                            lambda self, images: Tensor(np.array([[np.nan, 0.0]])))
         with finite_checks(True), pytest.raises(NumericsError, match="model output"):
             model(x)
 

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from skattn import (KINDS, ConfigError, MacCounter, MixerConfig, Rng, ShapeError, Tape, Tensor,
-                    attention_trace, backward, build_mixer, count_parameters, grad_check,
+from skattn import (KINDS, AttentionMaps, ConfigError, MacCounter, MixerConfig, Rng, ShapeError,
+                    Tape, Tensor, backward, build_mixer, count_parameters, grad_check,
                     mixer_properties)
 from skattn import tensor as tz
 from oracles import brute_conv2d, naive_cska, naive_mhsa
 from test_tensor import composed_attention, unfold
+
+
+def attention_map(mixer, x):
+    """The post-activation weights [B, H, Nq, Nk] of one forward of `mixer`."""
+    with AttentionMaps() as maps:
+        mixer(x)
+    (attn,) = maps
+    return attn
 
 
 def make(kind, dim=8, heads=2, tokens=16, seed=0, **kw):
@@ -33,6 +41,11 @@ class TestShapeContract:
     def test_cska_token_mismatch_is_hard_error(self):
         mixer, _ = make("cska", tokens=16)
         with pytest.raises(ShapeError):
+            mixer(Tensor(Rng(0).normal((1, 9, 8))))
+
+    def test_sepconv_token_mismatch_is_hard_error(self):
+        mixer, _ = make("sepconv", tokens=16)
+        with pytest.raises(ShapeError, match="sepconv built for a 4x4 grid but input carries 9 tokens"):
             mixer(Tensor(Rng(0).normal((1, 9, 8))))
 
     def test_mhsa_is_length_flexible(self):
@@ -176,7 +189,7 @@ class TestCska:
     def test_cls_token_rows_are_stochastic(self):
         mixer, cfg = make("cska", tokens=16, cls_token=True)
         x = Tensor(Rng(2).normal((1, 17, 8)))
-        attn, _ = attention_trace(mixer, x)
+        attn = attention_map(mixer, x)
         assert attn.shape == (1, 2, 17, 17)
         assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -206,6 +219,23 @@ class TestCska:
             MixerConfig(kind=kind, dim=8, heads=2, tokens=16, grid=(3, 3))
         with pytest.raises(ConfigError):  # the grid does not stand in for the token count
             MixerConfig(kind=kind, dim=8, heads=2, grid=(4, 4))
+
+
+class TestMixerConfig:
+    @pytest.mark.parametrize("fields,message", [
+        (dict(kind="glu"), "unknown mixer kind 'glu'"),
+        (dict(dim=0), "dim and heads must be positive"),
+        (dict(heads=0), "dim and heads must be positive"),
+        (dict(dropout=1.0), r"dropout must be in \[0, 1\)"),
+        (dict(dropout=-0.1), r"dropout must be in \[0, 1\)"),
+        (dict(key_init="xavier"), "unknown key_init 'xavier'"),
+        (dict(kind="cska", grid=None), r"cska requires a \(grid_h, grid_w\) token grid"),
+        (dict(kind="sepconv", grid=None), r"sepconv requires a \(grid_h, grid_w\) token grid"),
+    ], ids=["kind", "dim", "heads", "dropout_1", "dropout_negative", "key_init", "cska_grid",
+            "sepconv_grid"])
+    def test_invalid_field_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            MixerConfig(**{**dict(kind="ska", dim=8, heads=2, tokens=16, grid=(4, 4)), **fields})
 
 
 class TestSepConv:
@@ -260,14 +290,14 @@ class TestAttentionTrace:
     def test_rows_sum_to_one(self, kind):
         mixer, cfg = make(kind)
         x = Tensor(Rng(11).normal((2, cfg.total_tokens, cfg.dim)))
-        attn, avg = attention_trace(mixer, x)
+        attn = attention_map(mixer, x)
         assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
-        assert np.abs(avg.sum(axis=-1) - 1.0).max() < 1e-12
+        assert np.abs(attn.mean(axis=1).sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_zero_key_uniform_map(self):
         mixer, _ = make("ska")
         mixer.key.data[:] = 0.0
-        attn, _ = attention_trace(mixer, Tensor(Rng(12).normal((1, 16, 8))))
+        attn = attention_map(mixer, Tensor(Rng(12).normal((1, 16, 8))))
         assert np.abs(attn - 1.0 / 16).max() < 1e-15
 
     def test_head_average_of_identical_heads(self):
@@ -275,31 +305,32 @@ class TestAttentionTrace:
         # make both heads identical by duplicating the key and wq columns
         mixer.key.data[1] = mixer.key.data[0]
         mixer.wq.data[:, 4:] = mixer.wq.data[:, :4]
-        attn, avg = attention_trace(mixer, Tensor(Rng(13).normal((1, 16, 8))))
+        attn = attention_map(mixer, Tensor(Rng(13).normal((1, 16, 8))))
         assert np.abs(attn[:, 0] - attn[:, 1]).max() < 1e-12
-        assert np.abs(avg - attn[:, 0]).max() < 1e-12
+        assert np.abs(attn.mean(axis=1) - attn[:, 0]).max() < 1e-12
 
     def test_capture_does_not_alter_forward(self):
         mixer, _ = make("cska")
         x = Tensor(Rng(14).normal((1, 16, 8)))
         plain = mixer(x).data
-        sink = []
-        traced = mixer(x, attn_sink=sink).data
-        assert np.array_equal(plain, traced)
+        with AttentionMaps() as maps:
+            traced = mixer(x).data
+        assert len(maps) == 1 and np.array_equal(plain, traced)
 
     def test_sepconv_unsupported(self):
+        # sepconv has no attention map, so a recorder receives none
         mixer, _ = make("sepconv")
-        with pytest.raises(ConfigError, match="no attention map"):
-            attention_trace(mixer, Tensor(Rng(0).normal((1, 16, 8))))
+        with AttentionMaps() as maps:
+            mixer(Tensor(Rng(0).normal((1, 16, 8))))
+        assert maps == []
 
 
 def _forward_and_grads(mixer, x, w):
-    sink = []
-    with Tape() as tape:
-        out = mixer(x, attn_sink=sink)
+    with Tape() as tape, AttentionMaps() as maps:
+        out = mixer(x)
         loss = (out * w).sum()
     grads = backward(tape, loss)
-    return out.data, sink, {p.name: grads[p.tensor] for p in mixer.named_parameters()}
+    return out.data, maps, {p.name: grads[p.tensor] for p in mixer.named_parameters()}
 
 
 def _counting(fn, calls):
@@ -341,12 +372,12 @@ class TestCskaChainLogits:
         w = Rng(19).normal((3, cfg.total_tokens, cfg.dim))
         calls = []
         monkeypatch.setattr(tz, "conv2d_grouped", _counting(tz.conv2d_grouped, calls))
-        out, sink, grads = _forward_and_grads(mixer, x, w)
+        out, maps, grads = _forward_and_grads(mixer, x, w)
         monkeypatch.setattr(tz, "conv2d_grouped", _counting(_unfold_chain_conv, calls))
-        want_out, want_sink, want_grads = _forward_and_grads(mixer, x, w)
+        want_out, want_maps, want_grads = _forward_and_grads(mixer, x, w)
         assert len(calls) == 2 and calls[1] is _unfold_chain_conv
-        assert len(sink) == len(want_sink) == 1 and grads.keys() == want_grads.keys()
-        for got, want in [(out, want_out), (sink[0], want_sink[0])] + [
+        assert len(maps) == len(want_maps) == 1 and grads.keys() == want_grads.keys()
+        for got, want in [(out, want_out), (maps[0], want_maps[0])] + [
                 (grads[name], want_grads[name]) for name in want_grads]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -363,14 +394,14 @@ class TestFusedAttention:
         w = Rng(9).normal((2, cfg.total_tokens, cfg.dim))
         fused, calls = tz.attention, []
         monkeypatch.setattr(tz, "attention", _counting(fused, calls))
-        out, sink, grads = _forward_and_grads(mixer, x, w)
+        out, maps, grads = _forward_and_grads(mixer, x, w)
         monkeypatch.setattr(tz, "attention", _counting(composed_attention, calls))
-        want_out, want_sink, want_grads = _forward_and_grads(mixer, x, w)
+        want_out, want_maps, want_grads = _forward_and_grads(mixer, x, w)
         # cska's CLS logits are a concat, so that mixer runs the chain itself
         uses_entry = not (kind == "cska" and cls_token)
         assert calls == ([fused, composed_attention] if uses_entry else [])
         assert np.array_equal(out, want_out)
-        assert len(sink) == 1 and np.array_equal(sink[0], want_sink[0])
+        assert len(maps) == len(want_maps) == 1 and np.array_equal(maps[0], want_maps[0])
         assert grads.keys() == want_grads.keys()
         for name, g in grads.items():
             assert np.abs(g - want_grads[name]).max() <= 1e-12, name
@@ -401,8 +432,8 @@ class TestScalingToggle:
         scaled, cfg = make(kind, seed=1, scaled=True)
         unscaled, _ = make(kind, seed=1, scaled=False)
         x = Tensor(Rng(2).normal((2, cfg.total_tokens, cfg.dim)))
-        a_scaled, _ = attention_trace(scaled, x)
-        a_plain, _ = attention_trace(unscaled, x)
+        a_scaled = attention_map(scaled, x)
+        a_plain = attention_map(unscaled, x)
         assert np.array_equal(np.argmax(a_scaled, axis=-1), np.argmax(a_plain, axis=-1))
 
 
@@ -474,7 +505,7 @@ class TestActivationsAndDropout:
     @pytest.mark.parametrize("act", ["gelu", "relu", "starrelu"])
     def test_non_softmax_rows_not_normalized(self, act):
         mixer, cfg = make("ska", activation=act, seed=4)
-        attn, _ = attention_trace(mixer, Tensor(Rng(5).normal((1, 16, 8))))
+        attn = attention_map(mixer, Tensor(Rng(5).normal((1, 16, 8))))
         assert np.abs(attn.sum(axis=-1) - 1.0).max() > 1e-3
 
     def test_starrelu_registers_trainable_scalars(self):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from skattn import (MacCounter, NumericsError, Parameter, Rng, ShapeError, Tape, Tensor,
-                    attention, backward, concat, conv2d_grouped, cross_entropy, finite_checks,
-                    gelu, grad_check, layer_norm, matmul, mean, softmax_rows, transpose)
+from skattn import (AttentionMaps, MacCounter, NumericsError, Parameter, Rng, ShapeError, Tape,
+                    Tensor, attention, backward, concat, conv2d_grouped, cross_entropy,
+                    finite_checks, gelu, grad_check, layer_norm, matmul, mean, softmax_rows,
+                    transpose)
 from skattn import tensor as tz
 from oracles import brute_conv2d
 
@@ -88,19 +89,18 @@ def _swap_last(t):
     return transpose(t, (*range(t.ndim - 2), t.ndim - 1, t.ndim - 2))
 
 
-def composed_attention(q, k, v, scale=1.0, bias=None, sink=None, kernel=None):
+def composed_attention(q, k, v, scale=1.0, bias=None, kernel=None):
     """The unfused reference for `attention`: matmul(q, k^T) -> add(bias) ->
-    mul(scale) -> softmax_rows -> matmul. For the windows form (`kernel`
-    given) the queries are the same-padded windows of the query image:
-    unfold -> transpose first."""
+    mul(scale) -> softmax_rows -> matmul, recording the weights as the fused
+    entry does. For the windows form (`kernel` given) the queries are the
+    same-padded windows of the query image: unfold -> transpose first."""
     if kernel is not None:
         q = _swap_last(unfold(q, kernel, padding=(kernel - 1) // 2, groups=tz._data(v).shape[1]))
     logits = matmul(q, _swap_last(k))
     if bias is not None:
         logits = tz.add(logits, bias)
     attn = softmax_rows(logits if scale == 1.0 else tz.mul(logits, scale))
-    if sink is not None:
-        sink.append(attn.data.copy())
+    AttentionMaps.record(attn.data)
     return matmul(attn, v)
 
 
@@ -179,7 +179,7 @@ class TestAttention:
     matmul chain."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / math.sqrt(8.0)])
-    @pytest.mark.parametrize("shape", [(2, 3, 5, 7, 6, 4), (3, 6, 6, 3, 2), (4, 1, 3, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7, 6, 4), (3, 1, 6, 6, 3, 2), (1, 1, 4, 1, 3, 2)])
     def test_matches_composed_chain(self, shape, scale):
         *lead, nq, nk, dk, dv = shape
         q, k, v, _, w = _operands(lead, nq, nk, dk, dv, seed=sum(shape))
@@ -224,23 +224,25 @@ class TestAttention:
         assert np.array_equal(one[0], chunked[0])
         assert all(np.array_equal(a, b) for a, b in zip(one[1], chunked[1]))
 
-    def test_sink_receives_the_weights_used(self):
+    def test_recorders_receive_the_weights_used(self):
         q, k, _, _, _ = _operands((1, 2), 4, 4, 3, 4, seed=2)
         v = Tensor(np.eye(4)[None, None].repeat(2, axis=1))
-        sink = []
-        out = attention(q, k, v, 0.25, sink=sink)
-        assert len(sink) == 1
+        with AttentionMaps() as outer, AttentionMaps() as inner:
+            out = attention(q, k, v, 0.25)
+        assert len(outer) == len(inner) == 1 and outer[0] is not inner[0]
         # v is the identity, so the output is P itself
-        assert np.array_equal(sink[0], out.data)
-        assert np.array_equal(sink[0], softmax_rows(tz.mul(matmul(q, _swap_last(k)), 0.25)).data)
+        assert np.array_equal(inner[0], out.data) and np.array_equal(outer[0], out.data)
+        assert np.array_equal(inner[0], softmax_rows(tz.mul(matmul(q, _swap_last(k)), 0.25)).data)
+        attention(q, k, v, 0.25)
+        assert len(inner) == 1  # a closed recorder receives nothing
 
     def test_inputs_and_upstream_gradient_untouched(self):
-        q, k, v, bias, _ = _operands((2,), 4, 4, 3, 3, bias_shape=(1, 4), seed=3)
+        q, k, v, bias, _ = _operands((2, 1), 4, 4, 3, 3, bias_shape=(1, 1, 4), seed=3)
         saved = [t.data.copy() for t in (q, k, v, bias)]
         with Tape() as tape:
             attention(q, k, v, 0.5, bias)
         _, _, bwd = tape.entries[-1]
-        g = Rng(5).normal((2, 4, 3))
+        g = Rng(5).normal((2, 1, 4, 3))
         g_saved = g.copy()
         first = bwd(g)
         second = bwd(g)
@@ -249,8 +251,8 @@ class TestAttention:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_non_finite_names_attention(self):
-        q = Tensor(np.array([[[np.inf, 0.0], [1.0, 2.0]]]))
-        k, v = Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 2, 3)))
+        q = Tensor(np.array([[[[np.inf, 0.0], [1.0, 2.0]]]]))
+        k, v = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 3)))
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="attention"):
             attention(q, k, v, 1.0)
 
@@ -263,23 +265,27 @@ class TestAttention:
         assert not grads[1].any() and not grads[3].any()
 
     def test_untaped_forward_keeps_one_chunk_of_weights(self):
-        # 64 maps of 64x64 weights are 2 MiB; an untaped forward without a
-        # sink reuses one 1 MiB chunk of them, a taped one keeps them all
-        q, k, v, _, _ = _operands((64,), 64, 64, 2, 2, k_lead=(), seed=4)
-        peaks = []
-        for taped in (False, True):
+        # 64 maps of 64x64 weights are 2 MiB; an untaped forward with no
+        # recorder reuses one 1 MiB chunk of them, a taped one or one with an
+        # active recorder keeps them all
+        q, k, v, _, _ = _operands((64, 1), 64, 64, 2, 2, k_lead=(1,), seed=4)
+        peaks, outs = [], []
+        for context in (None, Tape, AttentionMaps):
             tracemalloc.start()
             try:
-                if taped:
-                    with Tape():
-                        out = attention(q, k, v, 0.5)
+                if context is None:
+                    outs.append(attention(q, k, v, 0.5).data)
                 else:
-                    untaped = attention(q, k, v, 0.5)
+                    with context() as recorded:
+                        outs.append(attention(q, k, v, 0.5).data)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert np.array_equal(untaped.data, out.data)
-        assert peaks[0] < (3 << 19) < 2 << 20 < peaks[1], peaks
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+        assert peaks[0] < (3 << 19) < 2 << 20 < min(peaks[1:]), peaks
+        # the recorder got every batch row's weights, not the last chunk's
+        (weights,) = recorded
+        assert np.array_equal(weights, softmax_rows(tz.mul(matmul(q, _swap_last(k)), 0.5)).data)
 
     def _windows_operands(self, b, h, c, grid, nk, dv, kernel, seed):
         rng = Rng(seed)
@@ -327,15 +333,24 @@ class TestAttention:
                       Tensor(np.zeros(v_shape)), kernel=3)
 
     def test_shape_errors(self):
+        # only [B, H, Nq, dk] queries, [B, H, Nk, dk] or [H, Nk, dk] keys,
+        # [B, H, Nk, dv] values and a [H, 1, Nk] bias are accepted
         for q_shape, k_shape, v_shape, bias_shape in [
-            ((2, 3, 4), (2, 5, 4), (2, 6, 2), None),     # Nk of keys and values differ
-            ((2, 3, 4), (2, 5, 3), (2, 5, 2), None),     # dk of queries and keys differ
-            ((2, 3, 4), (2, 5, 4), (3, 5, 2), None),     # values' leading extents differ
-            ((2, 3, 4), (3, 5, 4), (2, 5, 2), None),     # keys do not broadcast
-            ((3, 4), (2, 5, 4), (5, 2), None),           # keys would widen the queries
-            ((2, 3, 4), (2, 5, 4), (2, 5, 2), (2, 5)),   # bias does not broadcast
-            ((2, 3, 4), (2, 0, 4), (2, 0, 2), None),     # no keys
-            ((4,), (5, 4), (5, 2), None),                # 1-D queries
+            ((2, 2, 3, 4), (2, 5, 4), (2, 2, 6, 2), None),        # Nk of keys and values differ
+            ((2, 2, 3, 4), (2, 5, 3), (2, 2, 5, 2), None),        # dk of queries and keys differ
+            ((2, 2, 3, 4), (2, 5, 4), (3, 2, 5, 2), None),        # batch of queries and values differ
+            ((2, 2, 3, 4), (2, 5, 4), (2, 3, 5, 2), None),        # heads of queries and values differ
+            ((2, 2, 3, 4), (3, 2, 5, 4), (2, 2, 5, 2), None),     # keys of another batch
+            ((2, 2, 3, 4), (3, 5, 4), (2, 2, 5, 2), None),        # shared keys of other heads
+            ((2, 2, 3, 4), (1, 2, 5, 4), (2, 2, 5, 2), None),     # a [1, H, Nk, dk] key
+            ((2, 2, 3, 4), (5, 4), (2, 2, 5, 2), None),           # 2-D keys
+            ((2, 3, 4), (2, 5, 4), (2, 5, 2), None),              # 3-D queries and values
+            ((2, 2, 3, 4), (2, 5, 4), (2, 5, 2), None),           # 3-D values
+            ((2, 3, 4), (2, 5, 4), (2, 2, 5, 2), None),           # 3-D queries
+            ((2, 2, 3, 4), (2, 5, 4), (2, 2, 5, 2), (2, 3, 5)),   # a [H, Nq, Nk] bias
+            ((2, 2, 3, 4), (2, 5, 4), (2, 2, 5, 2), (1, 1, 5)),   # a bias of one head
+            ((2, 2, 3, 4), (2, 5, 4), (2, 2, 5, 2), (5,)),        # a [Nk] bias
+            ((2, 2, 3, 4), (2, 0, 4), (2, 2, 0, 2), None),        # no keys
         ]:
             bias = None if bias_shape is None else Tensor(np.zeros(bias_shape))
             with pytest.raises(ShapeError, match="attention"):

@@ -85,6 +85,13 @@ class TestIdxLoader:
         with pytest.raises(DataError, match="truncated"):
             load_idx_images(path, path)
 
+    def test_incomplete_header(self, tmp_path):
+        # the magic and one of an image file's three extents
+        path = tmp_path / "short.idx"
+        path.write_bytes(struct.pack(">II", 0x00000803, 2))
+        with pytest.raises(DataError, match="incomplete header"):
+            load_idx_images(path, path)
+
     def test_truncated_payload(self, tmp_path):
         images = np.zeros((2, 4, 4))
         labels = np.zeros(2)
@@ -151,10 +158,16 @@ class TestLossAndMetrics:
         ds = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
         with pytest.raises(DataError, match="empty"):
             evaluate(toy_model(), ds)
+        with pytest.raises(DataError, match="cannot train on an empty dataset"):
+            train(toy_model(), ds, TrainConfig(steps=1))
 
     def test_dataset_count_mismatch(self):
         with pytest.raises(DataError, match="labels"):
             Dataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=np.int64))
+
+    def test_dataset_images_must_be_4d(self):
+        with pytest.raises(DataError, match=r"images must be \[M, C, H, W\], got \(3, 4, 4\)"):
+            Dataset(np.zeros((3, 4, 4)), np.zeros(3, dtype=np.int64))
 
 
 class TestOptimizers:
@@ -291,6 +304,8 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="lion")
+        with pytest.raises(ConfigError, match="unknown schedule 'step'"):
+            TrainConfig(schedule="step")
         for steps in (0, -3):
             with pytest.raises(ConfigError, match="train.steps"):
                 TrainConfig(steps=steps)
