@@ -65,8 +65,8 @@ class Mlp(Module):
         self.fc2_b = self.register("fc2_b", Tensor(np.zeros(dim)))
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.gelu(T.matmul(x, self.fc1_w) + self.fc1_b)
-        return T.matmul(h, self.fc2_w) + self.fc2_b
+        h = T.gelu(T.matmul(x, self.fc1_w, self.fc1_b))
+        return T.matmul(h, self.fc2_w, self.fc2_b)
 
 
 class Block(Module):
@@ -319,7 +319,7 @@ class Model(Module):
             readout = T.slice_axis(x, 1, 0, 1).reshape(x.shape[0], x.shape[2])
         else:
             readout = x.mean(axis=1)
-        return T.matmul(readout, self.head_w) + self.head_b
+        return T.matmul(readout, self.head_w, self.head_b)
 
     def attention_maps(self, images) -> list[tuple[str, str, np.ndarray | None]]:
         """Head-averaged post-activation attention per block, in depth order,

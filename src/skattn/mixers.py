@@ -186,7 +186,8 @@ class Attention(TokenMixer):
     """One attention mixer for mhsa, ska and cska; the kind picks the logits.
 
     Queries and values are projections of the input (``wq``/``wv``, with
-    ``bq``/``bv`` when qkv_bias is on). The logits source by kind:
+    ``bq``/``bv`` when qkv_bias is on), each one `tensor.matmul` entry with
+    its bias. The logits source by kind:
 
     * mhsa: Q @ K^T with a dynamic key K = x @ ``wk``. The key projection
       carries no bias even with qkv_bias on: a key bias shifts every logit
@@ -209,10 +210,11 @@ class Attention(TokenMixer):
 
     After the logits the path is shared: optional 1/sqrt(d_h) scaling, the
     row activation and the product with the values, head merge, output
-    projection ``wo``/``bo`` and dropout. Under softmax, logits through the
-    product with the values are one `tensor.attention` entry; cska with a
-    CLS token and the ablation activations run it as a chain of primitives
-    (softmax as `softmax_rows`, cska's logits from `conv2d_grouped`).
+    projection ``wo``/``bo`` (one biased `tensor.matmul` entry) and
+    dropout. Under softmax, logits through the product with the values are
+    one `tensor.attention` entry; cska with a CLS token and the ablation
+    activations run it as a chain of primitives (softmax as `softmax_rows`,
+    cska's logits from `conv2d_grouped`).
     Either way an active `tensor.AttentionMaps` receives a copy of the
     post-activation map.
     """
@@ -280,11 +282,8 @@ class Attention(TokenMixer):
         if cfg.kind != "mhsa" and x.shape[1] != cfg.total_tokens:
             raise ShapeError(
                 f"{cfg.kind} built for {cfg.total_tokens} tokens but input carries {x.shape[1]}")
-        q = T.matmul(x, self.wq)
-        v = T.matmul(x, self.wv)
-        if self.bq is not None:
-            q, v = q + self.bq, v + self.bv
-        v = _split_heads(v, cfg.heads)
+        q = T.matmul(x, self.wq, self.bq)
+        v = _split_heads(T.matmul(x, self.wv, self.bv), cfg.heads)
 
         scale = 1.0 / math.sqrt(cfg.head_dim) if cfg.scaled else 1.0
         fused = cfg.activation == "softmax" and not (cfg.kind == "cska" and cfg.cls_token)
@@ -315,10 +314,7 @@ class Attention(TokenMixer):
                 attn = T.mul(T.mul(r, r), self.act_scale) + self.act_bias
             T.AttentionMaps.record(attn.data)
             out = T.matmul(attn, v)
-        out = T.matmul(_merge_heads(out), self.wo)
-        if self.bo is not None:
-            out = out + self.bo
-        return self._dropout(out)
+        return self._dropout(T.matmul(_merge_heads(out), self.wo, self.bo))
 
 
 class SepConv(TokenMixer):
@@ -347,17 +343,12 @@ class SepConv(TokenMixer):
         gh, gw = cfg.grid
         if n != gh * gw:
             raise ShapeError(f"sepconv built for a {gh}x{gw} grid but input carries {n} tokens")
-        h = T.matmul(x, self.pw1)
-        if self.b1 is not None:
-            h = h + self.b1
+        h = T.matmul(x, self.pw1, self.b1)
         img = h.transpose(0, 2, 1).reshape(b, d, gh, gw)
         img = T.conv2d_grouped(img, self.dw, self.bdw,
                                stride=1, padding=(cfg.kernel - 1) // 2, groups=d)
         h = img.reshape(b, d, n).transpose(0, 2, 1)
-        out = T.matmul(h, self.pw2)
-        if self.b2 is not None:
-            out = out + self.b2
-        return self._dropout(out)
+        return self._dropout(T.matmul(h, self.pw2, self.b2))
 
 
 def build_mixer(cfg: MixerConfig, rng: Rng) -> TokenMixer:

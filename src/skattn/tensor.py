@@ -205,13 +205,18 @@ def _data(x) -> np.ndarray:
 _MOVE_OPS = frozenset({"reshape", "transpose", "concat", "slice", "broadcast", "gather_last"})
 
 
+def _taped(*inputs) -> bool:
+    """Whether the active tape, if any, records an entry with these inputs:
+    one of them is a Tensor. Ops that keep arrays only for backward ask first."""
+    return bool(_TAPES) and any(isinstance(t, Tensor) for t in inputs)
+
+
 def _make(out_data: np.ndarray, op: str, inputs: tuple, backward) -> Tensor:
     if _FINITE_CHECKS[0] and op not in _MOVE_OPS and not np.all(np.isfinite(out_data)):
         raise NumericsError(f"non-finite values produced by '{op}'")
     out = Tensor(out_data)
-    tensors = tuple(t for t in inputs if isinstance(t, Tensor))
-    if _TAPES and tensors:
-        _TAPES[-1].entries.append((out, tensors, backward))
+    if _taped(*inputs):
+        _TAPES[-1].entries.append((out, tuple(t for t in inputs if isinstance(t, Tensor)), backward))
     return out
 
 
@@ -240,7 +245,7 @@ def _chunk_rows(row_bytes: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _broadcast_op(op: str, ufunc, a, b, da, db) -> Tensor:
-    """add, sub, mul and matmul: `ufunc(a, b)`; each Tensor operand's gradient
+    """add, sub and mul: `ufunc(a, b)`; each Tensor operand's gradient
     is its local partial `da(g, b)` or `db(g, a)`, summed back onto its shape."""
     ad, bd = _data(a), _data(b)
     try:
@@ -275,7 +280,10 @@ def _reduce(x: Tensor, op: str, forward, axis, keepdims, average: bool) -> Tenso
     """reduce_sum and mean: the gradient is spread back over the reduced axes,
     divided by the count of elements each output averages if `average` is set."""
     xd = _data(x)
-    out = forward(xd, axis=axis, keepdims=keepdims)
+    try:
+        out = forward(xd, axis=axis, keepdims=keepdims)
+    except ValueError:  # numpy's AxisError, or an axis named twice
+        raise ShapeError(f"{op}: cannot reduce {xd.shape} over axis {axis}") from None
     count = xd.size // max(out.size, 1) if average else 1
 
     def bwd(g):
@@ -320,6 +328,9 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 def concat(tensors, axis: int = -1) -> Tensor:
     datas = [_data(t) for t in tensors]
+    if not datas or datas[0].ndim == 0 or not -datas[0].ndim <= axis < datas[0].ndim:
+        raise ShapeError(f"concat: needs inputs of rank >= 1 and an axis of that rank, got "
+                         f"{[d.shape for d in datas]} and axis {axis}")
     base = datas[0].shape
     for d in datas[1:]:
         if d.ndim != datas[0].ndim:
@@ -373,11 +384,14 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 # contractions
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
     """Batched matrix product [..., M, K] @ [..., K, P] -> [..., M, P].
 
     Leading batch extents broadcast by equality or 1. Counts M*K*P MACs per
-    output matrix.
+    output matrix. With `bias`, a projection: b must be a 2-D weight [K, P]
+    and bias a [P] vector, added to the product in place, as one taped entry
+    whose output and gradients equal those of matmul -> add bit for bit; any
+    other weight or bias shape is a ShapeError.
     """
     ad, bd = _data(a), _data(b)
     if ad.ndim < 2 or bd.ndim < 2:
@@ -388,10 +402,26 @@ def matmul(a, b) -> Tensor:
         batch = np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul: batch extents do not broadcast: {ad.shape} @ {bd.shape}") from None
+    cd = None if bias is None else _data(bias)
+    if cd is not None and (bd.ndim != 2 or cd.shape != bd.shape[-1:]):
+        raise ShapeError(f"matmul: a bias needs a [K, P] weight and a [P] bias, "
+                         f"got {bd.shape} and {cd.shape}")
     _add_macs(math.prod(batch) * ad.shape[-2] * ad.shape[-1] * bd.shape[-1])
-    return _broadcast_op("matmul", np.matmul, a, b,
-                         lambda g, bd: np.matmul(g, np.swapaxes(bd, -1, -2)),
-                         lambda g, ad: np.matmul(np.swapaxes(ad, -1, -2), g))
+    out = np.matmul(ad, bd)
+    if cd is not None:
+        out += cd
+
+    def bwd(g):
+        grads = []
+        if isinstance(a, Tensor):
+            grads.append(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
+        if isinstance(b, Tensor):
+            grads.append(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
+        if isinstance(bias, Tensor):
+            grads.append(_unbroadcast(g, cd.shape))
+        return tuple(grads)
+
+    return _make(out, "matmul", (a, b, bias), bwd)
 
 
 def _out_extent(H: int, W: int, k: int, stride: int, padding: int, op: str) -> tuple[int, int]:
@@ -490,7 +520,7 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     w3 = wd.reshape(groups, cog, cg * k * k)
     _add_macs(B * groups * cog * cg * k * k * ho * wo)
     # dW reads every window: keep them all only when this entry is taped for a weight Tensor
-    cols = np.empty((B, groups, cg * k * k, ho * wo)) if _TAPES and isinstance(weight, Tensor) else None
+    cols = np.empty((B, groups, cg * k * k, ho * wo)) if _taped(weight) else None
     out = np.empty((B, groups, cog, ho * wo))
     _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k, stride, padding, "conv2d"), out, cols)
     out = out.reshape(B, cout, ho, wo)
@@ -642,12 +672,12 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
     def keys(sl: slice) -> np.ndarray:
         return kd if shared else kd[sl]
 
-    taped = bool(_TAPES) and any(isinstance(t, Tensor) for t in (q, k, v, bias))
     if kernel is None:  # the queries as [B, H, dk, Nq], as the key gradient reads them
         cols = np.swapaxes(qd, -1, -2)
     else:
-        cols = buffer(taped and isinstance(k, Tensor), (dk, nq))
-    p, out = buffer(taped or bool(_ATTENTION_MAPS), (nq, nk)), np.empty((B, H, nq, dv))
+        cols = buffer(_taped(k), (dk, nq))
+    p = buffer(_taped(q, k, v, bias) or bool(_ATTENTION_MAPS), (nq, nk))
+    out = np.empty((B, H, nq, dv))
     for sl in chunks:
         if kernel is not None:
             win = _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention")
@@ -704,7 +734,8 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     (both of the last axis's extent).
 
     The forward runs the arithmetic of the composed mean/sub/mul/rsqrt chain
-    in its order, forming xhat and the output in place; backward uses the
+    in its order, forming xhat in place and, when no tape records this entry
+    (backward reads xhat), the output over xhat; backward uses the
     closed form dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
     with dxhat = g * gamma, keeping only xhat, inv and gamma. Each row mean,
     the forward's two and the backward's two, is one BLAS product of the
@@ -728,7 +759,7 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     np.divide(1.0, inv, out=inv)
     xhat *= inv
     xhat = xhat.reshape(xd.shape)
-    out = xhat * gd
+    out = np.multiply(xhat, gd, out=None if _taped(x, gamma, beta) else xhat)
     out += bd
 
     def bwd(g):
@@ -778,13 +809,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU. Backward reads the cdf; when no tape records
+    this entry the output is written over it, so one temporary is made."""
     xd = _data(x)
-    cdf = xd * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt(2))), in place
+    cdf = np.multiply(xd, _INV_SQRT2, out=np.empty(xd.shape))  # 0.5 * (1 + erf(x / sqrt(2))), in place
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = xd * cdf
+    out = np.multiply(xd, cdf, out=None if _taped(x) else cdf)
 
     def bwd(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI

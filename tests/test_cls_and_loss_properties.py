@@ -1,8 +1,8 @@
 """Property tests of the CLS path's `concat` and `slice_axis` and of the
 loss's `log_softmax_rows` and `gather_last` over random shapes drawn by
 hypothesis (derandomized, so every run draws the same examples): gradients
-against central differences, and ShapeError on mismatched shapes or
-out-of-range indices."""
+against central differences, and ShapeError on mismatched shapes,
+out-of-range indices or axes, and no or 0-D inputs to `concat`."""
 
 import numpy as np
 import pytest
@@ -60,6 +60,27 @@ def test_concat_mismatched_shapes_raise(inputs, fault):
         bad = Tensor(np.zeros(tuple(n + 1 if i == other else n for i, n in enumerate(shape))))
     with pytest.raises(ShapeError, match="concat"):
         concat(pieces + [bad], axis=axis)
+
+
+def test_concat_of_no_inputs_raises():
+    with pytest.raises(ShapeError, match="concat"):
+        concat([])
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_concat_of_0d_inputs_raises(count):
+    with pytest.raises(ShapeError, match="concat"):
+        concat([Tensor(np.float64(i)) for i in range(count)], axis=0)
+
+
+@PROPERTY
+@given(concat_inputs(), st.integers(0, 2), st.booleans())
+def test_concat_out_of_range_axis_raises(inputs, past, negative):
+    pieces, _, _ = inputs
+    rank = pieces[0].ndim
+    axis = -rank - 1 - past if negative else rank + past
+    with pytest.raises(ShapeError, match="concat"):
+        concat(pieces, axis=axis)
 
 
 @st.composite

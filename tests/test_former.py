@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from skattn import (AdamW, AttentionMaps, Block, CheckpointError, ConfigError, MacCounter,
                     MixerConfig, Module, NumericsError, Rng, Tape, Tensor, backward,
                     build_model, canonical_kind, count_parameters, cross_entropy,
-                    finite_checks, grad_check, load_checkpoint, Model, ModelConfig,
+                    finite_checks, grad_check, load_checkpoint, Mlp, Model, ModelConfig,
                     save_checkpoint, step, synth_dataset)
 from skattn import tensor as tz
 from oracles import brute_conv2d
@@ -51,6 +52,26 @@ class TestBlock:
 
         rows = grad_check(f, block.named_parameters(), tolerance=1e-5)
         assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
+
+
+class TestMlp:
+    def test_untaped_forward_peaks_below_three_hidden_activations(self):
+        # hier-eval's stage 0 at its eval batch: 256 images of 16x16 tokens,
+        # D = 8, hidden 16 (8 MiB). fc1 is one biased matmul entry and gelu
+        # writes over its cdf, so at most the fc1 output and gelu's one
+        # temporary are alive at once (per-op scans off, as in a model forward)
+        mlp = Mlp(8, 16, Rng(0))
+        x = Tensor(Rng(1).normal((256, 256, 8)))
+        hidden = 256 * 256 * 16 * 8
+        tracemalloc.start()
+        try:
+            with finite_checks(False):
+                out = mlp(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < 3 * hidden, peak
 
 
 class TestModel:

@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from skattn import MacCounter, Parameter, Rng, ShapeError, Tensor, grad_check, layer_norm
+from skattn import MacCounter, Parameter, Rng, ShapeError, Tape, Tensor, grad_check, layer_norm
 from test_tensor import _composed_layer_norm, _grads
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -52,6 +52,18 @@ def test_matches_the_composed_chain(inputs):
     assert got.shape == x.shape and np.abs(got - want).max() <= 1e-12
     for g_fused, g_chain in zip(got_g, want_g):
         assert g_fused.shape == g_chain.shape and np.abs(g_fused - g_chain).max() <= 1e-12
+
+
+@PROPERTY
+@given(ln_inputs())
+def test_untaped_output_is_the_taped_output(inputs):
+    # an untaped layer_norm scales and shifts xhat in place; a taped one keeps xhat for backward
+    x, gamma, beta, _ = inputs
+    tensors = (Tensor(x), Tensor(gamma), Tensor(beta))
+    untaped = layer_norm(*tensors, EPS).data
+    with Tape() as tape:
+        taped = layer_norm(*tensors, EPS).data
+    assert len(tape) == 1 and np.array_equal(untaped, taped)
 
 
 @settings(PROPERTY, max_examples=15)

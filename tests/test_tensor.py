@@ -512,6 +512,21 @@ class TestGelu:
         assert np.array_equal(out.data, x * cdf)
         assert np.array_equal(bwd(g)[0], g * (cdf + x * (np.exp(-0.5 * x * x) * tz._INV_SQRT_2PI)))
 
+    def test_untaped_forward_makes_one_temporary(self):
+        # hier-eval's stage-0 MLP hidden activation, 8 MiB: an untaped gelu
+        # writes its output over its cdf, so it allocates one array of that
+        # size (per-op scans off, as inside a model forward)
+        x = Tensor(Rng(19).normal((256, 256, 16)))
+        tracemalloc.start()
+        try:
+            with finite_checks(False):
+                out = gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 8 << 20
+        assert peak <= out.data.nbytes + (1 << 20), peak
+
 
 class TestPlumbing:
     def test_concat(self):
