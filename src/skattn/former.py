@@ -256,14 +256,16 @@ class Model(Module):
         self.head_w = self.register("head_w", Tensor(rng.split("head").normal((d_last, cfg.num_classes)) / np.sqrt(d_last)))
         self.head_b = self.register("head_b", Tensor(np.zeros(cfg.num_classes)))
         self._grids = grids
+        # bytes of one image's residual stream in the widest stage (CLS included):
+        # `_forward` may run `_blocks` on sub-batches of about `_CHUNK_BYTES` of it
+        self._row_bytes = 8 * max((gh * gw + int(cfg.cls_token)) * s.dim
+                                  for (gh, gw), s in zip(grids, cfg.stages))
 
-    def embed(self, images) -> Tensor:
-        x = images if isinstance(images, Tensor) else Tensor(images)
-        c, h, w = self.cfg.input
-        if x.ndim != 4 or x.shape[1:] != (c, h, w):
-            raise ConfigError(f"expected images [B, {c}, {h}, {w}], got {x.shape}")
+    def embed(self, images: np.ndarray) -> Tensor:
+        """The patch tokens of [B, C, H, W] images, position embedding (and
+        CLS) included."""
         # the images as a plain array: they are data, so no gradient is computed for them
-        x = T.conv2d_grouped(x.data, self.stem_w, self.stem_b, stride=self.cfg.patch, padding=0)
+        x = T.conv2d_grouped(images, self.stem_w, self.stem_b, stride=self.cfg.patch, padding=0)
         b, d0 = x.shape[0], x.shape[1]
         tokens = x.reshape(b, d0, x.shape[2] * x.shape[3]).transpose(0, 2, 1) + self.pos
         if self.cls is not None:
@@ -274,11 +276,12 @@ class Model(Module):
     def forward(self, images) -> Tensor:
         """The logits of `_forward`, with one finite check when `finite_checks`
         is on: the images and every parameter are scanned once, the forward
-        runs with per-op scans off and numpy's floating-point flags raising,
-        and the logits are scanned once. After a raised flag or non-finite
-        logits, the active tape, attention-map recorders and MAC counters are
-        rolled back and the forward is replayed with per-op scans on, which
-        name the first op that made a non-finite value."""
+        (in sub-batches, when `_forward` splits it) runs with per-op scans off
+        and numpy's floating-point flags raising, and the logits are scanned
+        once. After a flag raised in any sub-batch or non-finite logits, the
+        active tape, attention-map recorders and MAC counters are rolled back
+        and the whole forward is replayed with per-op scans on, which name
+        the first op that made a non-finite value."""
         if not T._FINITE_CHECKS[0]:
             return self._forward(images)
         x = images if isinstance(images, Tensor) else Tensor(images)
@@ -309,17 +312,38 @@ class Model(Module):
         return out
 
     def _forward(self, images) -> Tensor:
-        tokens = self.embed(images)
-        for s, stage in enumerate(self.stages):
-            if s > 0:
-                tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
-            tokens = stage(tokens)
+        """`_blocks`, then the final norm, the readout and the head over the
+        whole batch. Untaped, with no `AttentionMaps` recorder and in eval
+        mode, `_blocks` runs on sub-batches of `_chunk_rows` rows of the
+        widest stage's residual stream, so one sub-batch's activations are
+        alive at a time, with the whole batch's logits bit for bit. Backward
+        needs the whole batch, a recorder one map per layer, and dropout
+        draws its masks layer by layer from one stream. The head stays whole:
+        a product of a few rows rounds differently."""
+        x = T._data(images)
+        c, h, w = self.cfg.input
+        if x.ndim != 4 or x.shape[1:] != (c, h, w):
+            raise ConfigError(f"expected images [B, {c}, {h}, {w}], got {x.shape}")
+        rows = T._chunk_rows(self._row_bytes)
+        if T._TAPES or T._ATTENTION_MAPS or self.training or len(x) <= rows:
+            tokens = self._blocks(x)
+        else:
+            tokens = T.concat([self._blocks(x[lo:lo + rows]) for lo in range(0, len(x), rows)], axis=0)
         x = self.norm(tokens)
         if self.cls is not None:
             readout = T.slice_axis(x, 1, 0, 1).reshape(x.shape[0], x.shape[2])
         else:
             readout = x.mean(axis=1)
         return T.matmul(readout, self.head_w, self.head_b)
+
+    def _blocks(self, images: np.ndarray) -> Tensor:
+        """The stem, the stages and the downsamples: the last stage's tokens."""
+        tokens = self.embed(images)
+        for s, stage in enumerate(self.stages):
+            if s > 0:
+                tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
+            tokens = stage(tokens)
+        return tokens
 
     def attention_maps(self, images) -> list[tuple[str, str, np.ndarray | None]]:
         """Head-averaged post-activation attention per block, in depth order,

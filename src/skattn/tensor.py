@@ -751,7 +751,9 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     d = xd.shape[-1]
     rows = (math.prod(xd.shape[:-1]), d)
     col = np.full((d, 1), 1.0 / max(d, 1))  # x @ col is the [rows, 1] row mean
-    x2 = xd.reshape(rows)
+    # C order whatever x's layout: reshaping a one-image transposed view gives
+    # an F-ordered view, whose BLAS product rounds differently
+    x2 = np.ascontiguousarray(xd.reshape(rows))
     xhat = x2 - x2 @ col
     inv = (xhat * xhat) @ col
     inv += eps

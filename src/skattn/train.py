@@ -80,15 +80,17 @@ class Dataset:
 class RunLog:
     steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)  # before clipping
+    lrs: list[float] = field(default_factory=list)
     eval_at: dict[int, float] = field(default_factory=dict)
     final_loss: float = float("nan")
     final_eval_acc: float | None = None
 
     def to_csv(self) -> str:
-        lines = ["step,loss,eval_acc"]
-        for s, l in zip(self.steps, self.losses):
+        lines = ["step,loss,grad_norm,lr,eval_acc"]
+        for s, l, g, lr in zip(self.steps, self.losses, self.grad_norms, self.lrs):
             acc = self.eval_at.get(s)
-            lines.append(f"{s},{l!r},{'' if acc is None else repr(acc)}")
+            lines.append(f"{s},{l!r},{g!r},{lr!r},{'' if acc is None else repr(acc)}")
         return "\n".join(lines) + "\n"
 
 
@@ -338,6 +340,8 @@ def train(model, dataset: Dataset, cfg: TrainConfig,
                     f"(lr={optimizer.lr:.3g}, grad_norm={grad_norm:.3g})")
             log.steps.append(step_index)
             log.losses.append(loss)
+            log.grad_norms.append(grad_norm)
+            log.lrs.append(optimizer.lr)
             if (eval_dataset is not None and cfg.eval_every > 0
                     and step_index % cfg.eval_every == 0):
                 acc, _ = evaluate(model, eval_dataset)

@@ -36,7 +36,7 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert run("train", *FAST_TRAIN, "--out", str(out)) == 0
         lines = (out / "runlog.csv").read_text().strip().splitlines()
-        assert lines[0] == "step,loss,eval_acc"
+        assert lines[0] == "step,loss,grad_norm,lr,eval_acc"
         assert len(lines) == 11
         manifest = json.loads((out / "manifest.json").read_text())
         assert "model.skaf" in manifest["artifacts"]
@@ -326,7 +326,7 @@ class TestIdxData:
                    "--set", "train.steps=3", "--set", "train.eval_every=0",
                    "--set", "train.batch_size=8", "--out", str(out)) == 0
         rows = (out / "runlog.csv").read_text().strip().splitlines()
-        assert len(rows) == 4 and rows[-1].split(",")[2] != ""  # evaluated on the test pair
+        assert len(rows) == 4 and rows[-1].split(",")[4] != ""  # evaluated on the test pair
 
         maps = tmp_path / "maps"
         ckpt = str(out / "model.skaf")

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import re
 import stat
 import struct
 import tracemalloc
@@ -169,10 +171,12 @@ class TestModel:
             ModelConfig(input=(1, 16, 16), patch=2, num_classes=2, downsample=[2, 3],
                         stages=[{"kind": "mhsa", "depth": 1, "dim": 8, "heads": 1}] * 3)
 
-    @pytest.mark.parametrize("shape", [(2, 8, 8), (2, 2, 8, 8), (2, 1, 8, 9)])
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (2, 2, 8, 8), (2, 1, 8, 9), (), (129, 1, 8, 9)])
     def test_wrong_image_shape_rejected(self, shape):
+        # checked before the batch is split into sub-batches (of 128 here), so
+        # the message names the whole batch's shape
         model = build_model(toy_model_config(), seed=0)
-        with pytest.raises(ConfigError, match=r"expected images \[B, 1, 8, 8\]"):
+        with pytest.raises(ConfigError, match=rf"expected images \[B, 1, 8, 8\], got {re.escape(str(shape))}"):
             model(np.zeros(shape))
 
     def test_kind_aliases(self):
@@ -289,6 +293,111 @@ class TestBatchInvariance:
         monkeypatch.setattr(tz, "_CHUNK_BYTES", 1)  # one batch row per chunk
         runs += forwards()
         assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+
+def _count_blocks(monkeypatch):
+    """Count the calls of `Model._blocks`: one per sub-batch of a forward."""
+    calls = []
+    blocks = Model._blocks
+
+    def counted(self, images):
+        calls.append(images.shape[0])
+        return blocks(self, images)
+
+    monkeypatch.setattr(Model, "_blocks", counted)
+    return calls
+
+
+def _hier_model(kind, **kw):
+    return build_model(ModelConfig(num_classes=2, mlp_ratio=2.0, **_BATCH_SHAPES["hier"](kind), **kw),
+                       seed=3)
+
+
+class TestSubBatchedEval:
+    """An untaped eval forward runs the stem and stages on sub-batches of
+    `_chunk_rows` rows (64 at both shapes), then the head once."""
+
+    @pytest.mark.parametrize("shape", list(_BATCH_SHAPES))
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska", "sepconv"])
+    def test_logits_and_macs_equal_the_taped_whole_batch(self, kind, shape, monkeypatch):
+        cfg = ModelConfig(num_classes=2, mlp_ratio=2.0, **_BATCH_SHAPES[shape](kind))
+        model = build_model(cfg, seed=3)
+        calls = _count_blocks(monkeypatch)
+        for chunk_bytes, rows in ((tz._CHUNK_BYTES, 64), (1, 1)):
+            monkeypatch.setattr(tz, "_CHUNK_BYTES", chunk_bytes)
+            for b in (1, 2, 63, 64, 65, 256, 257):
+                images = Rng(4).normal((b,) + cfg.input)
+                with Tape(), MacCounter() as whole:
+                    want = model(images).data
+                calls.clear()
+                with MacCounter() as split:
+                    got = model(images).data
+                assert calls == [min(rows, b - lo) for lo in range(0, b, rows)]
+                assert np.array_equal(got, want), (chunk_bytes, b)
+                assert split.macs == whole.macs
+
+    def test_tape_recorder_or_training_keep_the_batch_whole(self, monkeypatch):
+        images = Rng(4).normal((65, 1, 32, 32))
+        calls = _count_blocks(monkeypatch)
+        model = _hier_model("cska")
+        with Tape():
+            model(images)
+        with AttentionMaps() as maps:
+            model(images)
+        assert calls == [65, 65]
+        assert [m.shape[0] for m in maps] == [65, 65, 65]  # one whole-batch map per attention layer
+
+        # dropout draws its masks from one stream per mixer, in layer order: an
+        # untaped training forward draws what a taped one does
+        runs = []
+        for taped in (False, True):
+            calls.clear()
+            model = _hier_model("cska", dropout=0.1).train()
+            with Tape() if taped else contextlib.nullcontext():
+                logits = model(images).data
+            mixers = [block.mixer for stage in model.stages for block in stage.blocks]
+            runs.append((logits, [m._drop_rng.counter for m in mixers]))
+            assert calls == [65]
+        assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+        assert runs[0][1] == [65 * 256 * 8, 65 * 64 * 16, 65 * 16 * 16, 65 * 4 * 16]
+
+    @pytest.mark.parametrize("shape", list(_BATCH_SHAPES))
+    def test_overflow_in_a_later_sub_batch_names_the_per_op_culprit(self, shape, monkeypatch):
+        # finite images; only image 129, in the third sub-batch of 64, is
+        # scaled so far that the stem's output overflows
+        cfg = ModelConfig(num_classes=2, mlp_ratio=2.0, **_BATCH_SHAPES[shape]("cska"))
+        model = build_model(cfg, seed=3)
+        x = Rng(4).normal((130,) + cfg.input)
+        x[129] = 1e308 * np.sign(x[129])
+        calls = _count_blocks(monkeypatch)
+        with np.errstate(all="ignore"), finite_checks(True):
+            with Tape(), pytest.raises(NumericsError) as whole:
+                model._forward(x)  # taped: one batch, every op scanned
+            with pytest.raises(NumericsError) as per_op:
+                model._forward(x)  # sub-batches, every op scanned
+            with pytest.raises(NumericsError) as checked:
+                model(x)
+        assert str(checked.value) == str(per_op.value) == str(whole.value)
+        assert "produced by" in str(checked.value)
+        # taped whole; per-op; the checked pass, then its replay
+        assert calls == [130, 64, 64, 2, 64, 64, 2, 64, 64, 2]
+
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska", "sepconv"])
+    def test_batch_256_eval_peaks_below_12_mib(self, kind):
+        # hier-eval's eval: 256 images through [dwconv, <kind>, attn, attn],
+        # per-op scans off as in a model forward. The whole batch would peak
+        # at 28.0 MiB in stage 0's MLP; sub-batches of 64 peak at 7.1 MiB
+        model = _hier_model(kind)
+        images = Rng(4).normal((256, 1, 32, 32))
+        tracemalloc.start()
+        try:
+            with finite_checks(False):
+                logits = model(images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (256, 2)
+        assert peak < 12 * 2 ** 20, peak
 
 
 def _stage(kind, heads=2):

@@ -86,3 +86,21 @@ def test_wrong_parameter_extent_raises(inputs, which, change):
     gamma, beta = (np.ones(d), beta) if which == "gamma" else (gamma, np.zeros(d))
     with pytest.raises(ShapeError, match="layer_norm"):
         layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), EPS)
+
+
+@PROPERTY
+@given(st.integers(2, 64), st.integers(3, 17), st.integers(0, 2 ** 32))
+def test_bits_do_not_depend_on_the_input_layout(n, d, seed):
+    # a one-image transposed view [1, N, D], as `Downsample` returns it: its
+    # rows reshape to an F-ordered view, not a copy. Output (taped and
+    # untaped) and gradients equal those of the contiguous copy bit for bit
+    rng = Rng(seed)
+    view = rng.normal((1, d, n)).swapaxes(1, 2)
+    gamma, beta, w = rng.normal((d,)), rng.normal((d,)), rng.normal((1, n, d))
+    results = []
+    for x in (view, np.ascontiguousarray(view)):
+        tensors = (Tensor(x), Tensor(gamma), Tensor(beta))
+        untaped = layer_norm(*tensors, EPS).data
+        taped, grads = _grads(lambda *a: layer_norm(*a, EPS), tensors, w)
+        results.append([untaped, taped, *grads])
+    assert all(np.array_equal(a, b) for a, b in zip(*results))

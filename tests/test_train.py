@@ -1,3 +1,4 @@
+import importlib
 import math
 import struct
 
@@ -292,10 +293,31 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=10, batch_size=8, eval_every=5, seed=0)
         log = train(toy_model(), ds, cfg, eval_dataset=test)
         lines = log.to_csv().strip().splitlines()
-        assert lines[0] == "step,loss,eval_acc"
+        assert lines[0] == "step,loss,grad_norm,lr,eval_acc"
         assert len(lines) == 11
         assert log.steps == sorted(log.steps)
-        assert lines[5].split(",")[2] != ""  # eval at step 5
+        assert lines[5].split(",")[4] != ""  # eval at step 5
+
+    def test_runlog_records_each_steps_grad_norm_and_lr(self, monkeypatch):
+        # the columns are what `step` returned and the rate it stepped with,
+        # round-tripped exactly through repr
+        tr = importlib.import_module("skattn.train")  # `skattn.train` is also the function
+        seen = []
+        real_step = tr.step
+
+        def spy(model, images, labels, optimizer, clip_norm=0.0):
+            loss, grad_norm = real_step(model, images, labels, optimizer, clip_norm)
+            seen.append((loss, grad_norm, optimizer.lr))
+            return loss, grad_norm
+
+        monkeypatch.setattr(tr, "step", spy)
+        ds = synth_dataset("stripe_orientation", 32, seed=0)
+        cfg = TrainConfig(steps=6, batch_size=8, lr=0.01, schedule="cosine", clip_norm=0.5, seed=0)
+        log = train(toy_model(), ds, cfg)
+        rows = [line.split(",") for line in log.to_csv().strip().splitlines()[1:]]
+        assert [(float(l), float(g), float(lr)) for _, l, g, lr, _ in rows] == seen
+        assert [lr for _, _, lr in seen] == [tr._lr_at(cfg, s, 6) for s in range(1, 7)]
+        assert len(set(lr for _, _, lr in seen)) == 6 and all(g > 0 for _, g, _ in seen)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
