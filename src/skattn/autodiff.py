@@ -109,8 +109,8 @@ class GradCheckResult:
     passed: bool
 
 
-def _rel_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
+def _rel_error(a: float, b: float, floor: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), floor)
 
 
 def grad_check(f: Callable[[], Tensor], params: list[Parameter], *,
@@ -123,11 +123,20 @@ def grad_check(f: Callable[[], Tensor], params: list[Parameter], *,
     coordinates, chosen deterministically from a hash of the parameter
     name. `f` is evaluated twice up front; any mismatch means the oracle
     cannot be trusted (non-deterministic loss) and raises OracleError.
+
+    A coordinate's error is |a - n| / max(|a|, |n|, atol / tolerance) for
+    the analytic gradient a and the central difference n: it passes when
+    they agree to `tolerance` relative or to `atol` absolute, where
+    atol = epsilon^2 + 8 machine epsilons * max(|f|, 1) / epsilon bounds
+    the central difference's own truncation and rounding errors (2.6e-10
+    was seen for |f| = 34 at epsilon = 1e-5, so a purely relative test
+    fails correct gradients below about 3e-5 there).
     """
     v1 = f().data.item()
     v2 = f().data.item()
     if v1 != v2:
         raise OracleError(f"loss function is not deterministic: {v1!r} != {v2!r}")
+    atol = epsilon * epsilon + 8 * np.finfo(np.float64).eps * max(abs(v1), 1.0) / epsilon
 
     with Tape() as tape:
         out = f()
@@ -155,6 +164,6 @@ def grad_check(f: Callable[[], Tensor], params: list[Parameter], *,
             flat[c] = orig
             numeric = (f_plus - f_minus) / (2.0 * epsilon)
             ana = 0.0 if ana_flat is None else float(ana_flat[c])
-            worst = max(worst, _rel_error(ana, numeric))
+            worst = max(worst, _rel_error(ana, numeric, atol / tolerance))
         results.append(GradCheckResult(p.name, worst, worst < tolerance))
     return results

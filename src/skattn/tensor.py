@@ -449,24 +449,30 @@ def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.n
         xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
 
 
-def _window_products(lhs: np.ndarray, windows, out: np.ndarray, cols: np.ndarray | None = None) -> None:
+def _copy_windows(buf: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """Copy a chunk's windows `win`, a `_windows` view of batch rows lo:hi,
+    into the first hi - lo rows of the reused chunk buffer `buf` and return
+    those rows. No window copy outlives its chunk: a backward that reads the
+    windows again copies them again."""
+    chunk = buf[:len(win)]
+    chunk.reshape(win.shape)[...] = win
+    return chunk
+
+
+def _window_products(lhs: np.ndarray, windows, out: np.ndarray) -> None:
     """out[b] = lhs @ (the windows of batch row b), for lhs [G, M, K] and out
     [B, G, M, P], in chunks of batch rows whose windows take about
     `_CHUNK_BYTES`. `windows(lo, hi)` gives rows lo:hi as a view whose
-    rows hold G*K*P values each; they are copied once, into `cols`
-    [B, G, K, P] when given (which then holds every window), else into one
-    chunk buffer reused by every chunk. Each matrix product is the one BLAS
-    call that a single whole-batch matmul would make for that row."""
+    rows hold G*K*P values each; they are copied into one chunk buffer
+    reused by every chunk. Each matrix product is the one BLAS call that a
+    single whole-batch matmul would make for that row."""
     B, G, _, P = out.shape
     K = lhs.shape[-1]
     rows = _chunk_rows(8 * G * K * P)
-    buf = np.empty((min(rows, B), G, K, P)) if cols is None else cols
+    buf = np.empty((min(rows, B), G, K, P))
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        chunk = buf[:hi - lo] if cols is None else buf[lo:hi]
-        win = windows(lo, hi)
-        chunk.reshape(win.shape)[...] = win
-        np.matmul(lhs, chunk, out=out[lo:hi])
+        np.matmul(lhs, _copy_windows(buf, windows(lo, hi)), out=out[lo:hi])
 
 
 def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -482,13 +488,13 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     equal those of the im2col -> matmul -> reshape -> add chain bit for bit.
 
     The windows are copied and multiplied a chunk of batch rows at a time,
-    about `_CHUNK_BYTES` of windows each (memory-efficient im2col: Cho &
-    Brand, "MEC", arXiv 1706.06873), so a chunk is still in cache when its
-    matmul reads it. The weight gradient reads every window, so they are all
-    kept only when a tape records this entry and `weight` is a Tensor;
-    otherwise (an eval forward) one chunk buffer is reused and the k^2-fold
-    copy of the input never exists. Each row's product is the same BLAS call
-    as in one whole-batch matmul, so chunking changes no bit.
+    about `_CHUNK_BYTES` of windows each, into one reused chunk buffer
+    (memory-efficient im2col: Cho & Brand, "MEC", arXiv 1706.06873), so a
+    chunk is still in cache when its matmul reads it and the k^2-fold copy of
+    the input never exists, taped or not. The weight gradient copies each
+    chunk's windows again for its per-row products, which it sums over the
+    batch as one whole-batch matmul's would be. Each row's product is the
+    same BLAS call as in one whole-batch matmul, so chunking changes no bit.
 
     The input gradient is the transposed convolution (Dumoulin & Visin,
     arXiv 1603.07285): the output gradient, dilated by the stride and placed
@@ -519,10 +525,8 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     cog = cout // groups
     w3 = wd.reshape(groups, cog, cg * k * k)
     _add_macs(B * groups * cog * cg * k * k * ho * wo)
-    # dW reads every window: keep them all only when this entry is taped for a weight Tensor
-    cols = np.empty((B, groups, cg * k * k, ho * wo)) if _taped(weight) else None
     out = np.empty((B, groups, cog, ho * wo))
-    _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k, stride, padding, "conv2d"), out, cols)
+    _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k, stride, padding, "conv2d"), out)
     out = out.reshape(B, cout, ho, wo)
     if bd is not None:
         out += bd.reshape(cout, 1, 1)
@@ -547,8 +551,12 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             dx = np.empty((B, groups, cg, H * W))
             _window_products(flipped.reshape(groups, cg, cog * k * k), dilated_windows, dx)
             grads.append(dx.reshape(B, cin, H, W))
-        if isinstance(weight, Tensor):
-            dw = np.matmul(g.reshape(B, groups, cog, ho * wo), np.swapaxes(cols, -1, -2))
+        if isinstance(weight, Tensor):  # each row's product, as one matmul makes it, then their sum
+            g4, rows = g.reshape(B, groups, cog, ho * wo), _chunk_rows(8 * cin * k * k * ho * wo)
+            buf, dw = np.empty((min(rows, B), groups, cg * k * k, ho * wo)), np.empty((B,) + w3.shape)
+            for lo in range(0, B, rows):
+                cols = _copy_windows(buf, _windows(xd[lo:lo + rows], k, stride, padding, "conv2d"))
+                np.matmul(g4[lo:lo + rows], np.swapaxes(cols, -1, -2), out=dw[lo:lo + rows])
             grads.append(_unbroadcast(dw, w3.shape).reshape(wd.shape))
         if isinstance(bias, Tensor):
             grads.append(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
@@ -634,10 +642,11 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
     With `kernel`, the windows form (cska): q is a query image [B, H*c, gh,
     gw], and head h's gh*gw queries are the same-padded kernel x kernel
     windows of its c channels (dk = c*kernel^2, ordered (c, i, j)). Each
-    chunk's windows are copied just before its logits product, and all are
-    kept only when a tape records a key Tensor, whose gradient reads them.
-    Backward writes each chunk's window gradient in that [dk, Nq] layout and
-    adds its taps onto q's gradient.
+    chunk's windows are copied into one reused chunk buffer just before its
+    logits product, taped or not, so the kernel^2-fold copy of the queries
+    never exists. Backward copies a chunk's windows again just before a key
+    Tensor's gradient product reads them, writes each chunk's window
+    gradient in that [dk, Nq] layout and adds its taps onto q's gradient.
     """
     qd, kd, vd = _data(q), _data(k), _data(v)
     bd = None if bias is None else _data(bias)
@@ -672,18 +681,17 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
     def keys(sl: slice) -> np.ndarray:
         return kd if shared else kd[sl]
 
-    if kernel is None:  # the queries as [B, H, dk, Nq], as the key gradient reads them
-        cols = np.swapaxes(qd, -1, -2)
-    else:
-        cols = buffer(_taped(k), (dk, nq))
+    def queries(sl: slice, buf) -> np.ndarray:  # a chunk's queries as [n, H, dk, Nq], windows copied into buf
+        if kernel is None:
+            return np.swapaxes(qd[sl], -1, -2)
+        return _copy_windows(buf, _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention"))
+
+    qbuf = None if kernel is None else buffer(False, (dk, nq))
     p = buffer(_taped(q, k, v, bias) or bool(_ATTENTION_MAPS), (nq, nk))
     out = np.empty((B, H, nq, dv))
     for sl in chunks:
-        if kernel is not None:
-            win = _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention")
-            rows(cols, sl).reshape(win.shape)[...] = win
         pc = rows(p, sl)
-        np.matmul(np.swapaxes(rows(cols, sl), -1, -2), np.swapaxes(keys(sl), -1, -2), out=pc)
+        np.matmul(np.swapaxes(queries(sl, qbuf), -1, -2), np.swapaxes(keys(sl), -1, -2), out=pc)
         if bd is not None:
             pc += bd
         pc *= scale
@@ -694,7 +702,7 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
 
     def bwd(g):
         dq = None if not isinstance(q, Tensor) else np.empty(qd.shape) if kernel is None else np.zeros(qd.shape)
-        dcols = None if dq is None or kernel is None else buffer(False, (dk, nq))  # a chunk's window gradient
+        wbuf = None if kernel is None else buffer(False, (dk, nq))  # a chunk's window gradient, then its windows
         # a shared key's gradient, like the bias's, is summed over batch rows by `_add_rows`
         dkt = np.empty((B, H, dk, nk)) if isinstance(k, Tensor) and not shared else None
         dvs = np.empty(vd.shape) if isinstance(v, Tensor) else None
@@ -708,16 +716,16 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
             np.matmul(gc, np.swapaxes(vd[sl], -1, -2), out=ds)
             _softmax_grad_inplace(ds, pc, tmp)
             ds *= scale
-            if dcols is not None:
-                dc = rows(dcols, sl)
+            if dq is not None and kernel is not None:
+                dc = rows(wbuf, sl)
                 np.matmul(ds, keys(sl), out=np.swapaxes(dc, -1, -2))
                 _add_windows(dq[sl], dc.reshape((-1, qd.shape[1], kernel, kernel) + qd.shape[2:]))
             elif dq is not None:
                 np.matmul(ds, keys(sl), out=dq[sl])
             if isinstance(k, Tensor) and shared:
-                dkt = _add_rows(dkt, np.matmul(cols[sl], ds))
+                dkt = _add_rows(dkt, np.matmul(queries(sl, wbuf), ds))
             elif isinstance(k, Tensor):
-                np.matmul(cols[sl], ds, out=dkt[sl])
+                np.matmul(queries(sl, wbuf), ds, out=dkt[sl])
             if isinstance(bias, Tensor):
                 db = _add_rows(db, ds)
         grads = (dq,

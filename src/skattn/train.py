@@ -186,13 +186,15 @@ def evaluate(model, dataset: Dataset, batch_size: int = 256) -> tuple[float, flo
     model.eval()
     correct = 0
     loss_sum = 0.0
-    for lo in range(0, len(dataset), batch_size):
-        hi = min(lo + batch_size, len(dataset))
-        logits = model(Tensor(dataset.images[lo:hi]))
-        preds = np.argmax(logits.data, axis=1)
-        correct += int((preds == dataset.labels[lo:hi]).sum())
-        loss_sum += cross_entropy(logits, dataset.labels[lo:hi]).data.item() * (hi - lo)
-    model.train(was_training)
+    try:
+        for lo in range(0, len(dataset), batch_size):
+            hi = min(lo + batch_size, len(dataset))
+            logits = model(Tensor(dataset.images[lo:hi]))
+            preds = np.argmax(logits.data, axis=1)
+            correct += int((preds == dataset.labels[lo:hi]).sum())
+            loss_sum += cross_entropy(logits, dataset.labels[lo:hi]).data.item() * (hi - lo)
+    finally:
+        model.train(was_training)
     return correct / len(dataset), loss_sum / len(dataset)
 
 

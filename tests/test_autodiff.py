@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from skattn import (AutodiffError, MixerConfig, Module, OracleError, Parameter, Rng,
-                    Tape, Tensor, backward, build_mixer, gelu, grad_check, matmul,
-                    softmax_rows)
+                    Tape, Tensor, backward, build_mixer, gather_last, gelu, grad_check,
+                    log_softmax_rows, matmul, softmax_rows)
 from skattn import tensor as tz
 from test_tensor import unfold
 
@@ -201,6 +201,35 @@ class TestGradCheck:
         r1 = grad_check(f, [Parameter("big", w)])[0]
         r2 = grad_check(f, [Parameter("big", w)])[0]
         assert r1.max_rel_error == r2.max_rel_error
+
+    def test_small_correct_gradients_pass(self):
+        # logits of spread 3: a class of small probability has a gradient of
+        # 1e-7 to 1e-5, near the central difference's own error at epsilon =
+        # 1e-5; 17 of these 100 draws failed a purely relative test
+        failed = []
+        for seed in range(100):
+            rng = Rng(seed)
+            x = Tensor(3.0 * rng.normal((4, 5)))
+            labels = (rng.uniform((4,)) * 5).astype(int)
+            w = rng.normal((4,))
+            (row,) = grad_check(lambda: (gather_last(log_softmax_rows(x), labels) * w).sum(),
+                                [Parameter("x", x)])
+            if not row.passed:
+                failed.append((seed, row.max_rel_error))
+        assert not failed, failed
+
+    @pytest.mark.parametrize("size", [1e-6, 1.0])
+    def test_a_wrong_gradient_fails_at_any_size(self, size):
+        # d(size * x)/dx = size, reported 10% too large: the absolute floor
+        # does not hide it in a gradient of 1e-6
+        x = Tensor(Rng(12).normal((3,)))
+
+        def f():
+            out = tz._make(x.data * size, "mul", (x,), lambda g: (g * size * 1.1,))
+            return out.sum()
+
+        (row,) = grad_check(f, [Parameter("x", x)])
+        assert not row.passed and row.max_rel_error > 100 * 1e-5
 
     def test_non_deterministic_loss_rejected(self):
         state = {"n": 0}

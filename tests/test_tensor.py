@@ -314,6 +314,32 @@ class TestAttention:
         assert peak < window_copy, peak
         assert peak < out.data.nbytes + (3 << 20), peak
 
+    def test_windows_form_taped_forward_keeps_no_window_copy(self):
+        # a wide-tokens cska layer at batch 4: a 16x16 grid, D = 64 in 4
+        # heads. The windows of every batch row take 4.5 MiB, one row's (a
+        # chunk, as the weights of a row take 2 MiB) 1.1 MiB. A taped forward
+        # keeps only its output and the weights P, which backward reads, and
+        # backward copies each chunk's windows again: the gradients equal the
+        # unfold chain's bit for bit
+        q, k, v, bias, w = self._windows_operands(4, 4, 16, (16, 16), 256, 16, 3, seed=44)
+        window_copy = 4 * 64 * 9 * 256 * 8
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = attention(q, k, v, 0.25, bias, kernel=3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1  # the entry, and all its closure holds, is alive
+        kept = out.data.nbytes + 4 * 4 * 256 * 256 * 8
+        assert held - kept < 64 << 10, held - kept
+        assert peak - kept < window_copy // 2, peak - kept
+        inputs = (q, k, v, bias)
+        got = _grads(lambda *a: attention(*a[:3], 0.25, a[3], kernel=3), inputs, w)
+        want = _grads(lambda *a: composed_attention(*a[:3], 0.25, a[3], kernel=3), inputs, w)
+        assert np.array_equal(got[0], want[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
     @pytest.mark.parametrize("kernel", [0, -1, 2, 4])
     def test_windows_form_rejects_a_kernel_below_one_or_even(self, kernel):
         q, k, v, _, _ = self._windows_operands(1, 2, 1, (3, 3), 9, 2, 1, seed=43)
@@ -497,6 +523,33 @@ class TestConv2dGrouped:
             tracemalloc.stop()
         assert out.data.nbytes == 1 << 20
         assert peak < 3 << 20, peak
+
+    def test_taped_forward_and_backward_hold_one_chunk_of_windows(self):
+        # wide-tokens' depthwise conv at batch 16: input, output and dx are
+        # 2 MiB each, every window 18 MiB, one row's 1.1 MiB. Taped, the
+        # forward keeps no window and the weight gradient copies them again
+        # a chunk at a time; dW and dbias equal the unfold chain's bit for bit
+        x = Tensor(Rng(17).normal((16, 64, 16, 16)))
+        w, b = Tensor(Rng(18).normal((64, 1, 3, 3))), Tensor(Rng(19).normal((64,)))
+        g = Rng(20).normal((16, 64, 16, 16))
+        window_copy = 9 * x.data.nbytes
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = conv2d_grouped(x, w, b, padding=1, groups=64)
+            held = tracemalloc.get_traced_memory()[0]
+            (_, _, bwd), = tape.entries
+            grads = bwd(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held - out.data.nbytes < 64 << 10, held - out.data.nbytes
+        assert peak < window_copy // 2, peak
+        want, want_grads = _grads(lambda *a: composed_conv2d(*a, padding=1, groups=64), (x, w, b), g)
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(grads[1], want_grads[1]) and np.array_equal(grads[2], want_grads[2])
+        assert np.abs(grads[0] - want_grads[0]).max() <= 1e-12 * np.abs(want_grads[0]).max()
 
 
 class TestGelu:

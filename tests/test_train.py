@@ -155,6 +155,16 @@ class TestLossAndMetrics:
                           [Parameter("w", w)], tolerance=1e-6)
         assert rows[0].passed, rows[0].max_rel_error
 
+    def test_a_raising_forward_leaves_the_callers_mode(self):
+        # a NaN stem weight makes the checked eval forward raise; the model
+        # comes back in train mode, as it went in
+        model = toy_model().train()
+        model.stem_w.data = np.full_like(model.stem_w.data, np.nan)
+        ds = synth_dataset("stripe_orientation", 8, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="stem_w"):
+            evaluate(model, ds)
+        assert model.training and all(m.training for m in model.stages)
+
     def test_empty_dataset_is_error(self):
         ds = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
         with pytest.raises(DataError, match="empty"):

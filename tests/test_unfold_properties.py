@@ -179,8 +179,8 @@ def test_conv_input_gradient_is_the_adjoint(shape, seed):
 def test_conv_is_the_same_in_any_chunking_taped_or_not(shape, batch, seed, budget):
     # chunks of one batch row (budget 1 byte) or a few (ragged last chunk
     # included) against the default: forward, dx, dW, dbias and MACs bit for
-    # bit; an untaped forward, which reuses one chunk buffer, equals a taped
-    # one, which keeps every window for dW
+    # bit; an untaped forward equals a taped one (both reuse one chunk buffer
+    # of windows, which dW copies again)
     _, _, g, _, _, _, _, stride, padding = shape
     x, wt, bias = _arrays((batch,) + shape[1:], seed)
 
