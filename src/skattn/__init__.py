@@ -13,7 +13,7 @@ from .mixers import (ACTIVATIONS, KINDS, Attention, MixerConfig, MixerProperties
 from .tensor import (AttentionMaps, MacCounter, Rng, Tensor, attention, concat, conv2d_grouped,
                      dropout, finite_checks, gather_last, gelu, layer_norm, log_softmax_rows,
                      matmul, mean, relu, reshape, slice_axis, softmax_rows, transpose)
-from .train import (AdamW, Dataset, RunLog, Sgd, TrainConfig, clip_grad_norm,
+from .train import (AdamW, Dataset, RunLog, TrainConfig, clip_grad_norm,
                     cross_entropy, evaluate, load_idx_images, step, synth_dataset, train)
 
 __version__ = "0.1.0"

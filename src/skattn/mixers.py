@@ -17,13 +17,12 @@ The three attention kinds differ only in where the logits come from, so they
 are one class, `Attention`, whose kind picks its key parameters. Each kind's
 logits are one product q @ k^T (+ bias): mhsa's k is dynamic, ska's is the
 static key, and cska's q is the k x k windows of the query image and k the
-conv kernels. Everything after the logits is shared: optional 1/sqrt(d_h)
-scaling, a row activation, attention times values, head merge and an output
-projection. Under softmax, logits, scaling, softmax and the product with the
-values are one fused taped entry (`tensor.attention`). cska with a CLS
-token, whose logits are a concat, and the relu/gelu/starrelu ablation
-activations run a chain of primitives (cska's logits from its grouped
-convolution). `SepConv` is the no-attention control.
+conv kernels (bordered by a CLS key column when there is a CLS token).
+Everything after the logits is shared: optional 1/sqrt(d_h) scaling, the
+row activation, attention times values, head merge and an output
+projection. Logits through the product with the values are one fused taped
+entry, `tensor.attention`, for every kind, activation and CLS setting.
+`SepConv` is the no-attention control.
 """
 
 from __future__ import annotations
@@ -206,17 +205,14 @@ class Attention(TokenMixer):
       (the weight transport). With a CLS token every query gains one extra
       key column from a learned per-head ``cls_key`` dotted with its query,
       and the CLS query's spatial-key row is zero (it has no spatial
-      position).
+      position): `tensor.attention`'s CLS border.
 
-    After the logits the path is shared: optional 1/sqrt(d_h) scaling, the
-    row activation and the product with the values, head merge, output
-    projection ``wo``/``bo`` (one biased `tensor.matmul` entry) and
-    dropout. Under softmax, logits through the product with the values are
-    one `tensor.attention` entry; cska with a CLS token and the ablation
-    activations run it as a chain of primitives (softmax as `softmax_rows`,
-    cska's logits from `conv2d_grouped`).
-    Either way an active `tensor.AttentionMaps` receives a copy of the
-    post-activation map.
+    The rest is one path: a single `tensor.attention` entry takes the
+    logits' operands, the optional 1/sqrt(d_h) scaling and the row
+    activation (starrelu with ``act_scale``/``act_bias``) and returns the
+    weighted values; then head merge, output projection ``wo``/``bo`` (one
+    biased `tensor.matmul` entry) and dropout. An active
+    `tensor.AttentionMaps` receives a copy of the post-activation map.
     """
 
     def __init__(self, cfg: MixerConfig, rng: Rng):
@@ -250,32 +246,21 @@ class Attention(TokenMixer):
                 self.cls_key = self.register(
                     "cls_key", _key_param(rng.split("cls_key"), (h, 1, dh), cfg.key_init))
 
-    def _query_image(self, q: Tensor) -> Tensor:
-        """cska's spatial queries laid out as an image [B, D, grid_h, grid_w]."""
-        cfg = self.cfg
-        q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
-        return q_spatial.transpose(0, 2, 1).reshape(q.shape[0], cfg.dim, *cfg.grid)
-
-    def _query_key(self, x: Tensor, q: Tensor) -> tuple[Tensor, Tensor, Tensor | None]:
-        """The query, key and logit bias of `tensor.attention`; cska's are its
-        query image (for the windows form) and kernels as [H, Nk, d_h*k*k]."""
+    def _logit_operands(self, x: Tensor, q: Tensor) -> dict:
+        """`tensor.attention`'s logit operands; cska's are its query image, its
+        kernels as [H, Nk, d_h*k*k] and, with a CLS token, the CLS border's."""
         cfg = self.cfg
         h = cfg.heads
         if cfg.kind == "mhsa":
-            return _split_heads(q, h), _split_heads(T.matmul(x, self.wk), h), None
+            return dict(q=_split_heads(q, h), k=_split_heads(T.matmul(x, self.wk), h))
         if cfg.kind == "ska":
-            return _split_heads(q, h), self.key, None
-        bias = None if self.conv_b is None else self.conv_b.reshape(h, 1, cfg.tokens)
-        return self._query_image(q), self.conv_w.reshape(h, cfg.tokens, -1), bias
-
-    def _with_cls(self, q: Tensor, spatial: Tensor) -> Tensor:
-        """cska's [B, H, N, N] spatial logits bordered by the CLS key column
-        and the CLS query's zero row."""
-        b, h, n = q.shape[0], self.cfg.heads, self.cfg.tokens
-        cls_col = T.matmul(_split_heads(q, h), self.cls_key.transpose(0, 2, 1))  # [B, H, N+1, 1]
-        cls_row = Tensor(np.zeros((b, h, 1, n)))
-        rows = T.concat([cls_row, spatial], axis=2)                              # [B, H, N+1, N]
-        return T.concat([cls_col, rows], axis=3)                                 # [B, H, N+1, N+1]
+            return dict(q=_split_heads(q, h), k=self.key)
+        q_spatial = T.slice_axis(q, 1, 1, cfg.total_tokens) if cfg.cls_token else q
+        return dict(q=q_spatial.transpose(0, 2, 1).reshape(q.shape[0], cfg.dim, *cfg.grid),
+                    k=self.conv_w.reshape(h, cfg.tokens, -1),
+                    bias=None if self.conv_b is None else self.conv_b.reshape(h, 1, cfg.tokens),
+                    kernel=cfg.kernel, cls_key=self.cls_key,
+                    cls_query=_split_heads(q, h) if cfg.cls_token else None)
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
@@ -284,36 +269,9 @@ class Attention(TokenMixer):
                 f"{cfg.kind} built for {cfg.total_tokens} tokens but input carries {x.shape[1]}")
         q = T.matmul(x, self.wq, self.bq)
         v = _split_heads(T.matmul(x, self.wv, self.bv), cfg.heads)
-
-        scale = 1.0 / math.sqrt(cfg.head_dim) if cfg.scaled else 1.0
-        fused = cfg.activation == "softmax" and not (cfg.kind == "cska" and cfg.cls_token)
-        if fused:
-            qh, kh, bias = self._query_key(x, q)
-            out = T.attention(qh, kh, v, scale, bias,
-                              kernel=cfg.kernel if cfg.kind == "cska" else None)
-        elif cfg.kind == "cska":  # a grouped conv with one output channel per (head, key)
-            logits = T.conv2d_grouped(self._query_image(q), self.conv_w, self.conv_b,
-                                      padding=(cfg.kernel - 1) // 2, groups=cfg.heads)
-            logits = logits.reshape(q.shape[0], cfg.heads, cfg.tokens, -1).transpose(0, 1, 3, 2)
-            if cfg.cls_token:
-                logits = self._with_cls(q, logits)
-        else:
-            qh, kh, _ = self._query_key(x, q)
-            logits = T.matmul(qh, kh.transpose(*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
-        if not fused:
-            if cfg.scaled:
-                logits = T.mul(logits, scale)
-            if cfg.activation == "softmax":
-                attn = T.softmax_rows(logits)
-            elif cfg.activation == "relu":
-                attn = T.relu(logits)
-            elif cfg.activation == "gelu":
-                attn = T.gelu(logits)
-            else:
-                r = T.relu(logits)
-                attn = T.mul(T.mul(r, r), self.act_scale) + self.act_bias
-            T.AttentionMaps.record(attn.data)
-            out = T.matmul(attn, v)
+        out = T.attention(v=v, scale=1.0 / math.sqrt(cfg.head_dim) if cfg.scaled else 1.0,
+                          activation=cfg.activation, act_scale=self.act_scale,
+                          act_bias=self.act_bias, **self._logit_operands(x, q))
         return self._dropout(T.matmul(_merge_heads(out), self.wo, self.bo))
 
 

@@ -601,11 +601,11 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def _add_rows(acc: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-    """`acc` plus the sum of `g` over axis 0 (that sum alone when `acc` is
-    None), its rows added one by one in the order of numpy's own reduction
-    over that axis: summing chunk by chunk equals one `g.sum(axis=0)` bit for bit."""
+    """`acc` (zeros when None) plus the rows of `g` added one by one, so summing
+    chunk by chunk equals summing at once bit for bit; numpy's `g.sum(axis=0)`
+    adds them in that order too, unless a row holds one value (then pairwise)."""
     if acc is None:
-        return g.sum(axis=0)
+        acc = np.zeros(g.shape[1:])
     for row in g:
         acc += row
     return acc
@@ -623,33 +623,40 @@ def _add_windows(gx: np.ndarray, g6: np.ndarray) -> None:
             gx[:, :, y0:y1, x0:x1] += g6[:, :, i, j, y0 + pad - i:y1 + pad - i, x0 + pad - j:x1 + pad - j]
 
 
-def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None) -> Tensor:
-    """Fused softmax(scale * (q @ k^T + bias)) @ v for queries [B, H, Nq, dk],
+def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None, *,
+              activation: str = "softmax", act_scale=None, act_bias=None,
+              cls_query=None, cls_key=None) -> Tensor:
+    """Fused act(scale * (q @ k^T + bias)) @ v for queries [B, H, Nq, dk],
     keys [B, H, Nk, dk] (mhsa) or one [H, Nk, dk] shared by every batch row
     (ska, cska), values [B, H, Nk, dv] and an optional bias [H, 1, Nk] (cska).
-    Any other shape is a ShapeError.
+    The row activation act is softmax, relu, exact gelu or starrelu,
+    act_scale * relu(s)^2 + act_bias with [1] scalars. Any other shape or
+    activation is a ShapeError.
 
     The work runs in chunks of batch rows whose logits take about
     `_CHUNK_BYTES`. Each chunk's logits are computed straight into the
     weights P, kept whole only when backward or an active `AttentionMaps`
-    (which gets a copy) reads them; backward computes each chunk's logit
-    gradient dS in one chunk-sized scratch buffer, and sums a shared key's
-    and the bias's gradients over the batch rows in numpy's own order. The
-    arithmetic runs in the order of matmul -> add -> mul -> softmax_rows ->
-    matmul, so the output equals that chain bit for bit. Counts
-    Nq*Nk*(dk + dv) MACs per map, as the chain's two matmuls do.
+    (which gets a copy) reads them; under any act but softmax a taped call
+    keeps the scaled logits S whole too, for the derivative. Backward
+    computes each chunk's logit gradient dS in one chunk-sized scratch buffer
+    and adds every gradient shared by the batch rows row by row, so chunking
+    changes no bit. The arithmetic runs in the order of matmul -> add -> mul
+    -> act -> matmul, so under softmax the output equals that chain bit for
+    bit. Counts Nq*Nk*(dk + dv) MACs per map, as the chain's two matmuls do.
 
     With `kernel`, the windows form (cska): q is a query image [B, H*c, gh,
     gw], and head h's gh*gw queries are the same-padded kernel x kernel
-    windows of its c channels (dk = c*kernel^2, ordered (c, i, j)). Each
-    chunk's windows are copied into one reused chunk buffer just before its
-    logits product, taped or not, so the kernel^2-fold copy of the queries
-    never exists. Backward copies a chunk's windows again just before a key
-    Tensor's gradient product reads them, writes each chunk's window
-    gradient in that [dk, Nq] layout and adds its taps onto q's gradient.
+    windows of its c channels (dk = c*kernel^2, ordered (c, i, j)), copied a
+    chunk at a time into one reused buffer, in forward and again in backward
+    for a key Tensor's gradient, so the kernel^2-fold copy never exists. With
+    `cls_query` [B, H, gh*gw+1, c] (every token's queries, CLS first) and
+    `cls_key` [H, 1, c], cska's CLS border: logit column 0 is each query's
+    product with the CLS key ((gh*gw+1)*c more MACs), the CLS query's spatial
+    logits are zero, and the values carry gh*gw+1 rows.
     """
     qd, kd, vd = _data(q), _data(k), _data(v)
     bd = None if bias is None else _data(bias)
+    o = 0 if cls_key is None else 1  # the CLS border's width
     if kernel is None:
         if qd.ndim != 4 or vd.ndim != 4:
             raise ShapeError(f"attention: need [B, H, Nq, dk] queries and [B, H, Nk, dv] values, "
@@ -660,14 +667,27 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
         raise ShapeError(f"attention: windows need an odd kernel >= 1, a [B, H*c, gh, gw] query image "
                          f"and [B, H, Nk, dv] values, got {kernel}, {qd.shape} and {vd.shape}")
     else:
-        nq, dk = qd.shape[2] * qd.shape[3], qd.shape[1] // vd.shape[1] * kernel * kernel
+        nq, dk = qd.shape[2] * qd.shape[3] + o, qd.shape[1] // vd.shape[1] * kernel * kernel
     B, H, nk, dv = vd.shape
-    if (kd.shape not in ((B, H, nk, dk), (H, nk, dk)) or nk == 0
+    cqd, ckd = (None, None) if not o else (_data(cls_query), _data(cls_key))
+    if (kd.shape not in ((B, H, nk - o, dk), (H, nk - o, dk)) or nk == o
             or kernel is None and qd.shape[:2] != (B, H)
-            or bd is not None and bd.shape != (H, 1, nk)):
-        raise ShapeError(f"attention: queries {qd.shape}, keys {kd.shape}, values {vd.shape} and "
-                         f"bias {None if bd is None else bd.shape} do not match")
+            or bd is not None and bd.shape != (H, 1, nk - o)
+            or (cls_query is None) != (cls_key is None)
+            or o and (kernel is None or cqd.shape != (B, H, nq, qd.shape[1] // H)
+                      or ckd.shape != (H, 1, cqd.shape[-1]))):
+        raise ShapeError(f"attention: queries {qd.shape}, keys {kd.shape}, values {vd.shape}, "
+                         f"bias {None if bd is None else bd.shape} and CLS query and key "
+                         f"{None if not o else (cqd.shape, ckd.shape)} do not match")
+    starrelu = activation == "starrelu"
+    if (activation not in ("softmax", "relu", "gelu", "starrelu")
+            or starrelu != (act_scale is not None and act_bias is not None)
+            or starrelu and not _data(act_scale).shape == _data(act_bias).shape == (1,)):
+        raise ShapeError(f"attention: activation {activation!r} is not softmax, relu or gelu "
+                         f"with no scalars, or starrelu with a [1] act_scale and act_bias")
+    sd, sbd = (_data(act_scale), _data(act_bias)) if starrelu else (None, None)
     shared = kd.ndim == 3
+    taped = _taped(q, k, v, bias, cls_query, cls_key, act_scale, act_bias)
     step = _chunk_rows(8 * H * nq * nk)
     # an empty batch still gets one (empty) chunk, which sums a shared operand's zero gradient
     chunks = [slice(i, min(i + step, B)) for i in range(0, max(B, 1), step)]
@@ -686,55 +706,93 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None)
             return np.swapaxes(qd[sl], -1, -2)
         return _copy_windows(buf, _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention"))
 
-    qbuf = None if kernel is None else buffer(False, (dk, nq))
-    p = buffer(_taped(q, k, v, bias) or bool(_ATTENTION_MAPS), (nq, nk))
+    qbuf = None if kernel is None else buffer(False, (dk, nq - o))
+    p = buffer(taped or bool(_ATTENTION_MAPS), (nq, nk))
+    s = p if activation == "softmax" else buffer(taped, (nq, nk))  # softmax works in place
     out = np.empty((B, H, nq, dv))
     for sl in chunks:
-        pc = rows(p, sl)
-        np.matmul(np.swapaxes(queries(sl, qbuf), -1, -2), np.swapaxes(keys(sl), -1, -2), out=pc)
+        sc, pc = rows(s, sl), rows(p, sl)
+        np.matmul(np.swapaxes(queries(sl, qbuf), -1, -2), np.swapaxes(keys(sl), -1, -2),
+                  out=sc[:, :, o:, o:])
         if bd is not None:
-            pc += bd
-        pc *= scale
-        _softmax_inplace(pc)
+            sc[:, :, o:, o:] += bd
+        if o:
+            sc[:, :, 0, 1:] = 0.0
+            np.matmul(cqd[sl], np.swapaxes(ckd, -1, -2), out=sc[:, :, :, :1])
+        sc *= scale
+        if activation == "softmax":
+            _softmax_inplace(pc)
+        elif activation == "gelu":
+            np.multiply(_gelu_cdf(sc, out=pc), sc, out=pc)
+        else:
+            np.maximum(sc, 0.0, out=pc)
+            if starrelu:
+                np.multiply(np.square(pc, out=pc), sd, out=pc)
+                pc += sbd
         np.matmul(pc, vd[sl], out=out[sl])
     AttentionMaps.record(p)
-    _add_macs(B * H * nq * nk * (dk + dv))
+    _add_macs(B * H * ((nq - o) * (nk - o) * dk + (nq * ckd.shape[-1] if o else 0) + nq * nk * dv))
 
     def bwd(g):
         dq = None if not isinstance(q, Tensor) else np.empty(qd.shape) if kernel is None else np.zeros(qd.shape)
-        wbuf = None if kernel is None else buffer(False, (dk, nq))  # a chunk's window gradient, then its windows
-        # a shared key's gradient, like the bias's, is summed over batch rows by `_add_rows`
-        dkt = np.empty((B, H, dk, nk)) if isinstance(k, Tensor) and not shared else None
+        wbuf = None if kernel is None else buffer(False, (dk, nq - o))  # a chunk's window gradient, then windows
+        # a shared key's gradient, like those of the bias, the CLS key and
+        # starrelu's scalars, is summed over batch rows by `_add_rows`
+        dkt = np.empty((B, H, dk, nk - o)) if isinstance(k, Tensor) and not shared else None
         dvs = np.empty(vd.shape) if isinstance(v, Tensor) else None
-        db = None
+        dcq = np.empty(cqd.shape) if isinstance(cls_query, Tensor) else None
+        db = dck = dsc = dsb = None
         scratch = np.empty((2, min(step, B), H, nq, nk))  # dS and a temporary
         for sl in chunks:
-            pc, gc = p[sl], g[sl]
+            pc, sc, gc = p[sl], s[sl], g[sl]
             if dvs is not None:
                 np.matmul(np.swapaxes(pc, -1, -2), gc, out=dvs[sl])
             ds, tmp = scratch[:, :pc.shape[0]]
             np.matmul(gc, np.swapaxes(vd[sl], -1, -2), out=ds)
-            _softmax_grad_inplace(ds, pc, tmp)
+            if activation == "softmax":
+                _softmax_grad_inplace(ds, pc, tmp)
+            elif activation == "relu":
+                np.multiply(ds, sc > 0, out=ds)
+            elif activation == "gelu":
+                ds *= _gelu_slope(sc, _gelu_cdf(sc, out=tmp))
+            else:  # d/ds of act_scale * relu(s)^2 + act_bias is 2 * act_scale * relu(s)
+                r = np.maximum(sc, 0.0, out=tmp)
+                if isinstance(act_scale, Tensor):
+                    dsc = _add_rows(dsc, np.square(r) * ds)
+                if isinstance(act_bias, Tensor):
+                    dsb = _add_rows(dsb, ds)
+                ds *= sd
+                ds *= r
+                ds += ds
             ds *= scale
+            spatial = ds[:, :, o:, o:]
             if dq is not None and kernel is not None:
                 dc = rows(wbuf, sl)
-                np.matmul(ds, keys(sl), out=np.swapaxes(dc, -1, -2))
+                np.matmul(spatial, keys(sl), out=np.swapaxes(dc, -1, -2))
                 _add_windows(dq[sl], dc.reshape((-1, qd.shape[1], kernel, kernel) + qd.shape[2:]))
             elif dq is not None:
                 np.matmul(ds, keys(sl), out=dq[sl])
             if isinstance(k, Tensor) and shared:
-                dkt = _add_rows(dkt, np.matmul(queries(sl, wbuf), ds))
+                dkt = _add_rows(dkt, np.matmul(queries(sl, wbuf), spatial))
             elif isinstance(k, Tensor):
-                np.matmul(queries(sl, wbuf), ds, out=dkt[sl])
+                np.matmul(queries(sl, wbuf), spatial, out=dkt[sl])
             if isinstance(bias, Tensor):
-                db = _add_rows(db, ds)
+                db = _add_rows(db, spatial)
+            if dcq is not None:
+                np.matmul(ds[:, :, :, :1], ckd, out=dcq[sl])
+            if isinstance(cls_key, Tensor):
+                dck = _add_rows(dck, np.matmul(np.swapaxes(cqd[sl], -1, -2), ds[:, :, :, :1]))
         grads = (dq,
                  None if dkt is None else np.swapaxes(dkt, -1, -2),
                  dvs,
-                 None if db is None else db.sum(axis=1, keepdims=True))
+                 None if db is None else db.sum(axis=1, keepdims=True),
+                 dcq,
+                 None if dck is None else np.swapaxes(dck, -1, -2),
+                 None if dsc is None else dsc.sum().reshape(1),
+                 None if dsb is None else dsb.sum().reshape(1))
         return tuple(g for g in grads if g is not None)
 
-    return _make(out, "attention", (q, k, v, bias), bwd)
+    return _make(out, "attention", (q, k, v, bias, cls_query, cls_key, act_scale, act_bias), bwd)
 
 
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:
@@ -818,19 +876,28 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _gelu_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The standard normal cdf 0.5 * (1 + erf(x / sqrt(2))), written into `out`."""
+    erf(np.multiply(x, _INV_SQRT2, out=out), out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative cdf(x) + x * pdf(x), given cdf(x)."""
+    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU. Backward reads the cdf; when no tape records
     this entry the output is written over it, so one temporary is made."""
     xd = _data(x)
-    cdf = np.multiply(xd, _INV_SQRT2, out=np.empty(xd.shape))  # 0.5 * (1 + erf(x / sqrt(2))), in place
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = _gelu_cdf(xd, out=np.empty(xd.shape))
     out = np.multiply(xd, cdf, out=None if _taped(x) else cdf)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
+        return (g * _gelu_slope(xd, cdf),)
 
     return _make(out, "gelu", (x,), bwd)
 

@@ -28,7 +28,6 @@ class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.05
     betas: tuple[float, float] = (0.9, 0.999)
-    momentum: float = 0.9
     batch_size: int = 32
     steps: int = 1000
     seed: int = 0
@@ -52,7 +51,7 @@ class TrainConfig:
                 raise ConfigError(f"train.{key} must be >= 0 (0 turns it off), got {getattr(self, key)}")
         if not 0 <= self.seed < 2 ** 64:  # checkpoints store the seed as a u64
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.optimizer not in ("sgd", "adamw"):
+        if self.optimizer != "adamw":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
@@ -202,31 +201,6 @@ def evaluate(model, dataset: Dataset, batch_size: int = 256) -> tuple[float, flo
 # optimizers
 # ---------------------------------------------------------------------------
 
-class Sgd:
-    """SGD with momentum and coupled L2 decay."""
-
-    def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = {p.name: np.zeros_like(p.tensor.data) for p in self.params}
-
-    def step(self) -> None:
-        for p in self.params:
-            g = p.tensor.grad
-            if g is None:
-                continue
-            if self.weight_decay:
-                g = g + self.weight_decay * p.tensor.data
-            v = self._velocity[p.name]
-            v *= self.momentum
-            v += g
-            # not in place: a loaded parameter may be a read-only view
-            p.tensor.data = p.tensor.data - self.lr * v
-
-
 class AdamW:
     """Adam with decoupled weight decay."""
 
@@ -263,8 +237,6 @@ class AdamW:
 
 
 def build_optimizer(cfg: TrainConfig, params: list[Parameter]):
-    if cfg.optimizer == "sgd":
-        return Sgd(params, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     return AdamW(params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
 
 

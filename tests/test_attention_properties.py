@@ -1,7 +1,7 @@
 """Property tests of the fused `attention` entry against the composed chain,
 and of its windows form against the unfold chain, over random shapes, key
-and bias forms and chunk budgets drawn by hypothesis (derandomized, so every
-run draws the same examples)."""
+and bias forms, row activations, CLS borders and chunk budgets drawn by
+hypothesis (derandomized, so every run draws the same examples)."""
 
 from unittest import mock
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from skattn import AttentionMaps, MacCounter, Rng, ShapeError, Tape, Tensor, attention, backward
 from skattn import tensor as tz
-from test_tensor import _grads, composed_attention, unfold
+from test_tensor import ROW_ACTIVATIONS, _grads, attention_grads, composed_attention, unfold
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -138,3 +138,59 @@ def test_windows_form_equals_the_unfold_chain(shape, with_bias, budget, scale, s
     assert len(got) == len(want)
     for a, e in zip(got, want):
         assert a.shape == e.shape and np.array_equal(a, e)
+
+
+@st.composite
+def activation_calls(draw):
+    """One call of any row activation, in the plain form (a [B, H, Nk, dk] or
+    shared key, maybe a bias) or the windows form (maybe with the CLS
+    border): (Tensor arguments by name, other arguments, upstream shape)."""
+    b, h, dv = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    activation = draw(st.sampled_from(ROW_ACTIVATIONS))
+    lead = draw(st.sampled_from([(h,), (b, h)]))
+    if draw(st.booleans()):  # windows
+        c, gh, gw, kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                             draw(st.sampled_from([1, 3])))
+        n, o = gh * gw, int(draw(st.booleans()))
+        shapes = dict(q=(b, h * c, gh, gw), k=lead + (n, c * kernel * kernel), v=(b, h, n + o, dv))
+        if o:
+            shapes.update(cls_query=(b, h, n + 1, c), cls_key=(h, 1, c))
+        static, nq, nk = dict(kernel=kernel), n + o, n
+    else:
+        nq, nk, dk = (draw(st.integers(1, 5)) for _ in range(3))
+        shapes, static = dict(q=(b, h, nq, dk), k=lead + (nk, dk), v=(b, h, nk, dv)), {}
+    if draw(st.booleans()):
+        shapes["bias"] = (h, 1, nk)
+    if activation == "starrelu":
+        shapes.update(act_scale=(1,), act_bias=(1,))
+    return shapes, dict(static, activation=activation), (b, h, nq, dv)
+
+
+@PROPERTY
+@given(activation_calls(), st.integers(1, 1 << 12), st.sampled_from([1.0, 0.35]),
+       st.integers(0, 2 ** 32))
+def test_every_activation_is_invisible_to_chunking(call, budget, scale, seed):
+    # any budget gives the default budget's output and gradients bit for bit
+    # (the batch sums of a shared key, the bias, the CLS key and starrelu's
+    # scalars included); both agree with the composed chain to 1e-12 relative
+    # (the output bit for bit under softmax) and count its MACs
+    shapes, static, w_shape = call
+    rng = Rng(seed)
+    tensors = {name: Tensor(rng.normal(shape)) for name, shape in shapes.items()}
+    w = rng.normal(w_shape)
+
+    def run(fn):
+        with MacCounter() as counter:
+            out, grads = attention_grads(fn, tensors, static, w, scale)
+        return [out] + grads, counter.macs
+
+    got, got_macs = run(attention)
+    with mock.patch.object(tz, "_CHUNK_BYTES", budget):
+        chunked, _ = run(attention)
+    want, want_macs = run(composed_attention)
+    assert got_macs == want_macs
+    for a, c, e in zip(got, chunked, want):
+        assert a.shape == c.shape == e.shape and np.array_equal(a, c)
+        if static["activation"] == "softmax" and a is got[0]:
+            assert np.array_equal(a, e)
+        assert a.size == 0 or np.abs(a - e).max() <= 1e-12 * np.abs(e).max()

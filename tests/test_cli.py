@@ -445,7 +445,7 @@ class TestConfigDefaults:
                  "cls_token", "kernel", "dropout", "key_init"]
         model = ["input", "patch", "stages", "num_classes", "downsample", "cls_token",
                  "mlp_ratio", "activation", "scaled", "qkv_bias", "kernel", "dropout", "key_init"]
-        train = ["optimizer", "lr", "weight_decay", "betas", "momentum", "batch_size", "steps",
+        train = ["optimizer", "lr", "weight_decay", "betas", "batch_size", "steps",
                  "seed", "schedule", "clip_norm", "eval_every", "early_stop_acc"]
         data = ["kind", "n_train", "n_test", "seed", "images", "labels", "test_images",
                 "test_labels"]

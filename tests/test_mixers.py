@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from skattn import (KINDS, AttentionMaps, ConfigError, MacCounter, MixerConfig, Rng, ShapeError,
-                    Tape, Tensor, backward, build_mixer, count_parameters, grad_check,
+from skattn import (ACTIVATIONS, KINDS, AttentionMaps, ConfigError, MacCounter, MixerConfig, Rng,
+                    ShapeError, Tape, Tensor, backward, build_mixer, count_parameters, grad_check,
                     mixer_properties)
 from skattn import tensor as tz
 from oracles import brute_conv2d, naive_cska, naive_mhsa
-from test_tensor import composed_attention, unfold
+from test_tensor import composed_attention
 
 
 def attention_map(mixer, x):
@@ -340,82 +340,68 @@ def _counting(fn, calls):
     return wrapped
 
 
-def _unfold_chain_conv(x, weight, bias=None, *, stride=1, padding=0, groups=1):
-    """cska's logits as its chain paths took them before `conv2d_grouped`:
-    reference unfold -> transpose -> matmul with the kernels as [H, d_h*k*k,
-    Nk] -> add the bias as [H, 1, Nk], laid out as the convolution's output
-    [B, H*Nk, gh, gw]. Stride-1 same-padded convs only."""
-    b, _, gh, gw = x.shape
-    cout, _, k, _ = weight.shape
-    n = cout // groups
-    windows = unfold(x, k, padding=padding, groups=groups)
-    logits = tz.matmul(windows.transpose(0, 1, 3, 2), weight.reshape(groups, n, -1).transpose(0, 2, 1))
-    if bias is not None:
-        logits = logits + bias.reshape(groups, 1, n)
-    return logits.transpose(0, 1, 3, 2).reshape(b, cout, gh, gw)
-
-
-class TestCskaChainLogits:
-    """cska's CLS and ablation-activation paths take their logits from
-    `conv2d_grouped`. The unfold chain they replaced sums the same products
-    in another BLAS order, so the two agree to rounding, not bit for bit
-    (at most 1.7e-15 relative, measured over these cases at five seeds). The
-    bound is 1e-12 relative to the largest value compared."""
-
-    @pytest.mark.parametrize("activation,cls_token,qkv_bias", [
-        ("softmax", True, True), ("softmax", True, False), ("relu", False, True),
-        ("gelu", False, True), ("starrelu", False, False), ("starrelu", True, True)])
-    def test_matches_the_unfold_chain(self, activation, cls_token, qkv_bias, monkeypatch):
-        mixer, cfg = make("cska", dim=8, heads=2, tokens=12, grid=(3, 4), seed=17,
-                          activation=activation, cls_token=cls_token, qkv_bias=qkv_bias)
-        x = Tensor(Rng(18).normal((3, cfg.total_tokens, cfg.dim)))
-        w = Rng(19).normal((3, cfg.total_tokens, cfg.dim))
-        calls = []
-        monkeypatch.setattr(tz, "conv2d_grouped", _counting(tz.conv2d_grouped, calls))
-        out, maps, grads = _forward_and_grads(mixer, x, w)
-        monkeypatch.setattr(tz, "conv2d_grouped", _counting(_unfold_chain_conv, calls))
-        want_out, want_maps, want_grads = _forward_and_grads(mixer, x, w)
-        assert len(calls) == 2 and calls[1] is _unfold_chain_conv
-        assert len(maps) == len(want_maps) == 1 and grads.keys() == want_grads.keys()
-        for got, want in [(out, want_out), (maps[0], want_maps[0])] + [
-                (grads[name], want_grads[name]) for name in want_grads]:
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
 class TestFusedAttention:
-    """Every softmax mixer through the fused entry against the composed chain."""
+    """Every attention mixer, under every activation, through the fused
+    entry against the composed chain (`composed_attention`). Under softmax
+    the outputs and maps equal the chain's bit for bit. The ablation
+    activations' agree to 1e-12 relative to the largest value compared: the
+    fused entry sums starrelu's scalar gradients over the batch rows first."""
 
     @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska"])
     @pytest.mark.parametrize("cls_token", [False, True])
     @pytest.mark.parametrize("scaled", [True, False])
     def test_matches_composed_chain(self, kind, cls_token, scaled, monkeypatch):
-        mixer, cfg = make(kind, tokens=16, cls_token=cls_token, scaled=scaled, seed=7)
-        x = Tensor(Rng(8).normal((2, cfg.total_tokens, cfg.dim)))
-        w = Rng(9).normal((2, cfg.total_tokens, cfg.dim))
-        fused, calls = tz.attention, []
-        monkeypatch.setattr(tz, "attention", _counting(fused, calls))
-        out, maps, grads = _forward_and_grads(mixer, x, w)
-        monkeypatch.setattr(tz, "attention", _counting(composed_attention, calls))
-        want_out, want_maps, want_grads = _forward_and_grads(mixer, x, w)
-        # cska's CLS logits are a concat, so that mixer runs the chain itself
-        uses_entry = not (kind == "cska" and cls_token)
-        assert calls == ([fused, composed_attention] if uses_entry else [])
-        assert np.array_equal(out, want_out)
-        assert len(maps) == len(want_maps) == 1 and np.array_equal(maps[0], want_maps[0])
-        assert grads.keys() == want_grads.keys()
-        for name, g in grads.items():
-            assert np.abs(g - want_grads[name]).max() <= 1e-12, name
+        fused = tz.attention
+        for activation in ACTIVATIONS:
+            mixer, cfg = make(kind, tokens=16, cls_token=cls_token, scaled=scaled, seed=7,
+                              activation=activation)
+            x = Tensor(Rng(8).normal((2, cfg.total_tokens, cfg.dim)))
+            w = Rng(9).normal((2, cfg.total_tokens, cfg.dim))
+            calls = []
+            monkeypatch.setattr(tz, "attention", _counting(fused, calls))
+            out, maps, grads = _forward_and_grads(mixer, x, w)
+            monkeypatch.setattr(tz, "attention", _counting(composed_attention, calls))
+            want_out, want_maps, want_grads = _forward_and_grads(mixer, x, w)
+            assert calls == [fused, composed_attention]
+            assert len(maps) == len(want_maps) == 1 and grads.keys() == want_grads.keys()
+            if activation == "softmax":
+                assert np.array_equal(out, want_out) and np.array_equal(maps[0], want_maps[0])
+                for name, g in grads.items():
+                    assert np.abs(g - want_grads[name]).max() <= 1e-12, name
+                continue
+            for name, got, want in [("out", out, want_out), ("map", maps[0], want_maps[0])] + [
+                    (name, grads[name], want_grads[name]) for name in want_grads]:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (activation, name)
 
     @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska"])
     def test_mac_count_equals_chain(self, kind, monkeypatch):
-        mixer, cfg = make(kind, tokens=16, seed=1)
-        x = Tensor(Rng(2).normal((2, cfg.total_tokens, cfg.dim)))
-        with MacCounter() as fused:
-            mixer(x)
-        monkeypatch.setattr(tz, "attention", composed_attention)
-        with MacCounter() as chain:
-            mixer(x)
-        assert fused.macs == chain.macs
+        fused = tz.attention
+        for activation in ACTIVATIONS:
+            for cls_token in (False, True):
+                mixer, cfg = make(kind, tokens=16, seed=1, activation=activation,
+                                  cls_token=cls_token)
+                x = Tensor(Rng(2).normal((2, cfg.total_tokens, cfg.dim)))
+                monkeypatch.setattr(tz, "attention", fused)
+                with MacCounter() as got:
+                    mixer(x)
+                monkeypatch.setattr(tz, "attention", composed_attention)
+                with MacCounter() as chain:
+                    mixer(x)
+                assert got.macs == chain.macs, (activation, cls_token)
+
+    @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("cls_token", [False, True])
+    def test_one_attention_call_and_no_chain(self, kind, activation, cls_token, monkeypatch):
+        # one path for every kind, activation and CLS setting: a taped forward
+        # and backward make one `attention` call and no primitive of the chain
+        mixer, cfg = make(kind, activation=activation, cls_token=cls_token)
+        x = Tensor(Rng(3).normal((2, cfg.total_tokens, cfg.dim)))
+        calls = []
+        for name in ("attention", "softmax_rows", "relu", "gelu", "conv2d_grouped", "concat"):
+            monkeypatch.setattr(tz, name, _counting(getattr(tz, name), calls))
+        _forward_and_grads(mixer, x, Rng(4).normal(x.shape))
+        assert [fn.__name__ for fn in calls] == ["attention"]
 
     def test_grad_check_through_fused_entry(self):
         for kind in ("mhsa", "ska", "cska"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -89,17 +90,36 @@ def _swap_last(t):
     return transpose(t, (*range(t.ndim - 2), t.ndim - 1, t.ndim - 2))
 
 
-def composed_attention(q, k, v, scale=1.0, bias=None, kernel=None):
+def composed_attention(q, k, v, scale=1.0, bias=None, kernel=None, activation="softmax",
+                       act_scale=None, act_bias=None, cls_query=None, cls_key=None):
     """The unfused reference for `attention`: matmul(q, k^T) -> add(bias) ->
-    mul(scale) -> softmax_rows -> matmul, recording the weights as the fused
-    entry does. For the windows form (`kernel` given) the queries are the
-    same-padded windows of the query image: unfold -> transpose first."""
+    mul(scale) -> the row activation -> matmul, recording the weights as the
+    fused entry does. For the windows form (`kernel` given) the queries are
+    the same-padded windows of the query image: unfold -> transpose first.
+    With a CLS key the spatial logits are bordered by two concats: the CLS
+    query's zero row above, and the column of each query's product with the
+    CLS key on the left. starrelu is mul(mul(r, r), act_scale) + act_bias of
+    r = relu(logits)."""
     if kernel is not None:
         q = _swap_last(unfold(q, kernel, padding=(kernel - 1) // 2, groups=tz._data(v).shape[1]))
     logits = matmul(q, _swap_last(k))
     if bias is not None:
         logits = tz.add(logits, bias)
-    attn = softmax_rows(logits if scale == 1.0 else tz.mul(logits, scale))
+    if cls_key is not None:
+        b, h, _, n = logits.shape
+        rows = concat([Tensor(np.zeros((b, h, 1, n))), logits], axis=2)
+        logits = concat([matmul(cls_query, _swap_last(cls_key)), rows], axis=3)
+    if scale != 1.0:
+        logits = tz.mul(logits, scale)
+    if activation == "softmax":
+        attn = softmax_rows(logits)
+    elif activation == "relu":
+        attn = tz.relu(logits)
+    elif activation == "gelu":
+        attn = gelu(logits)
+    else:
+        r = tz.relu(logits)
+        attn = tz.mul(tz.mul(r, r), act_scale) + act_bias
     AttentionMaps.record(attn.data)
     return matmul(attn, v)
 
@@ -174,9 +194,38 @@ def _operands(lead, nq, nk, dk, dv, k_lead=None, bias_shape=None, seed=0):
     return q, k, v, bias, rng.normal((*lead, nq, dv))
 
 
+ROW_ACTIVATIONS = ("softmax", "relu", "gelu", "starrelu")
+
+
+def call_operands(activation, border, b, seed):
+    """The Tensor arguments of one `attention` call by name, its other
+    arguments and an upstream weight: the plain form with a shared key and a
+    bias (2 heads, 6 queries, 7 keys), or the windows form with the CLS
+    border (a 2x3 grid, 2 channels per head, kernel 3, 7 values)."""
+    rng = Rng(seed)
+    h, dv = 2, 4
+    if border:
+        n, c = 6, 2
+        shapes = dict(q=(b, h * c, 2, 3), k=(h, n, c * 9), v=(b, h, n + 1, dv), bias=(h, 1, n),
+                      cls_query=(b, h, n + 1, c), cls_key=(h, 1, c))
+        static, nq = dict(kernel=3), n + 1
+    else:
+        shapes, static, nq = dict(q=(b, h, 6, 3), k=(h, 7, 3), v=(b, h, 7, dv), bias=(h, 1, 7)), {}, 6
+    if activation == "starrelu":
+        shapes.update(act_scale=(1,), act_bias=(1,))
+    tensors = {name: Tensor(rng.normal(shape)) for name, shape in shapes.items()}
+    return tensors, dict(static, activation=activation), rng.normal((b, h, nq, dv))
+
+
+def attention_grads(fn, tensors, static, w, scale=0.3):
+    """The output and the gradients of `tensors` of fn(**tensors, **static)."""
+    names = list(tensors)
+    return _grads(lambda *a: fn(scale=scale, **dict(zip(names, a)), **static), list(tensors.values()), w)
+
+
 class TestAttention:
-    """The fused entry against the matmul -> add -> mul -> softmax_rows ->
-    matmul chain."""
+    """The fused entry against the matmul -> add -> mul -> activation ->
+    matmul chain (`composed_attention`)."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / math.sqrt(8.0)])
     @pytest.mark.parametrize("shape", [(2, 3, 5, 7, 6, 4), (3, 1, 6, 6, 3, 2), (1, 1, 4, 1, 3, 2)])
@@ -216,13 +265,82 @@ class TestAttention:
 
     @pytest.mark.parametrize("budget", [1, 2 * 2 * 6 * 7 * 8])  # one map, two maps per chunk
     def test_chunking_is_invisible(self, budget, monkeypatch):
-        q, k, v, bias, w = _operands((5, 2), 6, 7, 3, 4, k_lead=(2,), bias_shape=(2, 1, 7), seed=31)
-        inputs = (q, k, v, bias)
-        one = _grads(lambda *a: attention(*a[:3], 0.3, a[3]), inputs, w)
-        monkeypatch.setattr(tz, "_CHUNK_BYTES", budget)
-        chunked = _grads(lambda *a: attention(*a[:3], 0.3, a[3]), inputs, w)
-        assert np.array_equal(one[0], chunked[0])
+        # every activation, in the plain form and with the CLS border, at
+        # batch 5 and at an empty batch
+        for activation, border, batch in itertools.product(ROW_ACTIVATIONS, (False, True), (5, 0)):
+            tensors, static, w = call_operands(activation, border, batch, seed=31)
+            one = attention_grads(attention, tensors, static, w)
+            with monkeypatch.context() as patch:
+                patch.setattr(tz, "_CHUNK_BYTES", budget)
+                chunked = attention_grads(attention, tensors, static, w)
+            assert np.array_equal(one[0], chunked[0])
+            assert all(np.array_equal(a, b) for a, b in zip(one[1], chunked[1]))
+
+    def test_batch_sums_are_invisible_to_chunking_with_one_value_per_row(self, monkeypatch):
+        # a shared [1, 1, 1] key's gradient sums one value per batch row:
+        # numpy's sum over 16 such rows is pairwise, chunks add them in turn
+        rng = Rng(1)
+        q, k, v = (Tensor(rng.normal(shape)) for shape in ((16, 1, 1, 1), (1, 1, 1), (16, 1, 1, 2)))
+        w = rng.normal((16, 1, 1, 2))
+        one = _grads(lambda *a: attention(*a, 0.5, activation="gelu"), (q, k, v), w)
+        monkeypatch.setattr(tz, "_CHUNK_BYTES", 1)
+        chunked = _grads(lambda *a: attention(*a, 0.5, activation="gelu"), (q, k, v), w)
         assert all(np.array_equal(a, b) for a, b in zip(one[1], chunked[1]))
+
+    @pytest.mark.parametrize("activation", ROW_ACTIVATIONS)
+    @pytest.mark.parametrize("border", [False, True], ids=["plain", "cls_border"])
+    def test_every_activation_matches_composed_chain(self, activation, border):
+        # softmax equals the chain bit for bit; every other activation to
+        # 1e-12 relative, since starrelu's scalar gradients are summed over
+        # the batch rows first. Both count the same MACs.
+        tensors, static, w = call_operands(activation, border, 3, seed=51)
+        with MacCounter() as fused:
+            got, got_g = attention_grads(attention, tensors, static, w)
+        with MacCounter() as chain:
+            want, want_g = attention_grads(composed_attention, tensors, static, w)
+        assert fused.macs == chain.macs
+        assert [g.shape for g in got_g] == [t.shape for t in tensors.values()]
+        if activation == "softmax":
+            assert np.array_equal(got, want)
+        for a, e in zip([got] + got_g, [want] + want_g):
+            assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
+
+    @pytest.mark.parametrize("activation", ROW_ACTIVATIONS)
+    @pytest.mark.parametrize("border", [False, True], ids=["plain", "cls_border"])
+    def test_every_activation_grad_check(self, activation, border):
+        tensors, static, w = call_operands(activation, border, 2, seed=61)
+        params = [Parameter(name, t) for name, t in tensors.items()]
+        rows = grad_check(lambda: (attention(scale=0.7, **tensors, **static) * w).sum(), params)
+        assert all(r.passed for r in rows), [(r.name, r.max_rel_error) for r in rows]
+
+    @pytest.mark.parametrize("args,message", [
+        (dict(activation="swish"), "activation 'swish'"),
+        (dict(activation="starrelu"), "activation 'starrelu'"),
+        (dict(act_scale=Tensor(np.ones(1)), act_bias=Tensor(np.ones(1))), "activation 'softmax'"),
+        (dict(activation="starrelu", act_scale=Tensor(np.ones(2)), act_bias=Tensor(np.ones(2))),
+         "activation 'starrelu'"),
+        (dict(cls_query=Tensor(np.zeros((2, 2, 6, 3)))), "CLS"),
+        (dict(cls_key=Tensor(np.zeros((2, 1, 3)))), "CLS"),
+        (dict(cls_query=Tensor(np.zeros((2, 2, 6, 3))), cls_key=Tensor(np.zeros((2, 1, 3)))), "CLS"),
+    ], ids=["unknown", "no_scalars", "softmax_scalars", "scalar_shape", "cls_query_alone",
+            "cls_key_alone", "cls_without_windows"])
+    def test_activation_and_cls_argument_errors(self, args, message):
+        q, k, v, _, _ = _operands((2, 2), 6, 7, 3, 4, k_lead=(2,))
+        with pytest.raises(ShapeError, match=f"attention: .*{message}"):
+            attention(q, k, v, **args)
+
+    @pytest.mark.parametrize("fault", ["query_rows", "query_width", "key_width", "values", "bias"])
+    def test_cls_border_shape_errors(self, fault):
+        tensors, static, _ = call_operands("softmax", True, 2, seed=71)
+        b, h, n1, c = tensors["cls_query"].shape
+        shape = {"query_rows": ("cls_query", (b, h, n1 - 1, c)),
+                 "query_width": ("cls_query", (b, h, n1, c + 1)),
+                 "key_width": ("cls_key", (h, 1, c + 1)),
+                 "values": ("v", tensors["v"].shape[:2] + (n1 - 1,) + tensors["v"].shape[3:]),
+                 "bias": ("bias", (h, 1, n1))}[fault]
+        tensors[shape[0]] = Tensor(np.zeros(shape[1]))
+        with pytest.raises(ShapeError, match="attention"):
+            attention(**tensors, **static)
 
     def test_recorders_receive_the_weights_used(self):
         q, k, _, _, _ = _operands((1, 2), 4, 4, 3, 4, seed=2)
