@@ -987,31 +987,39 @@ class Rng:
         child = _mix64(np.array([self.seed], dtype=np.uint64) ^ _mix64(k + _GOLDEN))[0]
         return Rng(int(child))
 
+    @staticmethod
+    def _unit(raw: np.ndarray) -> np.ndarray:
+        """Uniform [0, 1) from the top 53 bits of each raw."""
+        return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    @staticmethod
+    def _box_muller(raw: np.ndarray) -> np.ndarray:
+        """Normals from raws [..., 2m]: the first m give u1, the last m give u2,
+        and each (u1, u2) pair gives a (cos, sin) pair in turn."""
+        m = raw.shape[-1] // 2
+        r = np.sqrt(-2.0 * np.log(Rng._unit(raw[..., :m]) + 2.0 ** -53))  # u1 in (0, 1], exactly
+        angle = 2.0 * np.pi * Rng._unit(raw[..., m:])
+        z = np.empty(raw.shape)
+        z[..., 0::2] = r * np.cos(angle)
+        z[..., 1::2] = r * np.sin(angle)
+        return z
+
     def uniform(self, shape=()) -> np.ndarray:
         """i.i.d. uniform [0, 1) samples."""
-        n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return u.reshape(shape) if shape else u[0]
+        u = self._unit(self._raw(int(np.prod(shape))))
+        return u[0] if shape == () else u.reshape(shape)
 
     def normal(self, shape=()) -> np.ndarray:
         """i.i.d. standard normal samples via Box-Muller."""
-        n = int(np.prod(shape)) if shape else 1
-        m = (n + 1) // 2
-        u1 = ((self._raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53  # (0, 1]
-        u2 = (self._raw(m) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * m)
-        z[0::2] = r * np.cos(2.0 * np.pi * u2)
-        z[1::2] = r * np.sin(2.0 * np.pi * u2)
-        z = z[:n]
-        return z.reshape(shape) if shape else z[0]
+        n = int(np.prod(shape))
+        z = self._box_muller(self._raw(n + n % 2))[:n]
+        return z[0] if shape == () else z.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
+        perm = list(range(n))
         if n > 1:
-            raws = self._raw(n - 1)
-            for i in range(n - 1, 0, -1):
-                j = int(raws[n - 1 - i] % np.uint64(i + 1))
+            for i, r in zip(range(n - 1, 0, -1), self._raw(n - 1).tolist()):
+                j = r % (i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -113,19 +113,23 @@ def synth_dataset(kind: str, n: int, grid: tuple[int, int] = (8, 8), seed: int =
     rng = Rng(seed).split(kind)
     labels = (np.arange(n) % 2).astype(np.int64)
     images = np.empty((n, 1, gh, gw))
+    pixels = gh * gw
+    noise = pixels + pixels % 2  # raws per image's normals: the u1 half, then the u2 half
+    # Each image's draws follow the previous image's on the stream, so the
+    # whole set is one run of counters, drawn at once and cut into blocks.
     if kind == "stripe_orientation":
-        for i in range(n):
-            if labels[i] == 0:
-                levels = rng.uniform((gh,)) * 2.0 - 1.0
-                img = np.repeat(levels[:, None], gw, axis=1)
-            else:
-                levels = rng.uniform((gw,)) * 2.0 - 1.0
-                img = np.repeat(levels[None, :], gh, axis=0)
-            images[i, 0] = img + 0.05 * rng.normal((gh, gw))
+        # image pair 2k, 2k+1: [gh levels | noise | gw levels | noise]
+        pairs = rng._raw((n + 1) // 2 * (gh + gw + 2 * noise)).reshape((n + 1) // 2, -1)
+        for cls, (lo, size, axis) in enumerate(((0, gh, 2), (gh + noise, gw, 1))):
+            out = images[cls::2, 0]
+            block = pairs[:len(out), lo:lo + size + noise]
+            levels = np.expand_dims(Rng._unit(block[:, :size]) * 2.0 - 1.0, axis)
+            out[...] = levels + 0.05 * Rng._box_muller(block[:, size:])[:, :pixels].reshape(-1, gh, gw)
     elif kind == "two_gaussians_patches":
-        templates = [off + 0.25 * rng.normal((gh, gw)) for off in (-0.25, 0.25)]
-        for i in range(n):
-            images[i, 0] = templates[labels[i]] + 0.3 * rng.normal((gh, gw))
+        # the two class templates, then one image after another
+        z = Rng._box_muller(rng._raw((n + 2) * noise).reshape(n + 2, -1))[:, :pixels].reshape(-1, gh, gw)
+        templates = np.array([-0.25, 0.25])[:, None, None] + 0.25 * z[:2]
+        images[:, 0] = templates[labels] + 0.3 * z[2:]
     else:
         raise ConfigError(
             f"unknown synthetic dataset {kind!r}; valid: stripe_orientation, two_gaussians_patches")
@@ -181,6 +185,8 @@ def evaluate(model, dataset: Dataset, batch_size: int = 256) -> tuple[float, flo
     """Top-1 accuracy and mean loss; argmax ties break toward the lowest class."""
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise DataError(f"batch_size must be at least 1, got {batch_size}")
     was_training = model.training
     model.eval()
     correct = 0

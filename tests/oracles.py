@@ -148,3 +148,41 @@ def reference_adam(params, grads_fn, lr, betas, eps, steps):
             theta[i] = theta[i] - lr * mhat / (np.sqrt(vhat) + eps)
         history.append([p.copy() for p in theta])
     return history
+
+
+def loop_synth_dataset(kind, n, grid=(8, 8), seed=0):
+    """`synth_dataset` drawn image by image through `Rng.uniform`/`Rng.normal`.
+
+    Unlike the oracles above, this one uses the library's `Rng`: it pins the
+    order in which a dataset consumes the stream, one image after another,
+    not the stream itself (`TestRng` pins that)."""
+    from skattn import Rng
+    gh, gw = grid
+    rng = Rng(seed).split(kind)
+    labels = (np.arange(n) % 2).astype(np.int64)
+    images = np.empty((n, 1, gh, gw))
+    if kind == "stripe_orientation":
+        for i in range(n):
+            if labels[i] == 0:
+                levels = rng.uniform((gh,)) * 2.0 - 1.0
+                img = np.repeat(levels[:, None], gw, axis=1)
+            else:
+                levels = rng.uniform((gw,)) * 2.0 - 1.0
+                img = np.repeat(levels[None, :], gh, axis=0)
+            images[i, 0] = img + 0.05 * rng.normal((gh, gw))
+    else:
+        templates = [off + 0.25 * rng.normal((gh, gw)) for off in (-0.25, 0.25)]
+        for i in range(n):
+            images[i, 0] = templates[labels[i]] + 0.3 * rng.normal((gh, gw))
+    return images, labels
+
+
+def loop_permutation(rng, n):
+    """Fisher-Yates over a numpy array, one uint64 raw per swap from the top down."""
+    perm = np.arange(n)
+    if n > 1:
+        raws = rng._raw(n - 1)
+        for i in range(n - 1, 0, -1):
+            j = int(raws[n - 1 - i] % np.uint64(i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+    return perm

@@ -13,7 +13,7 @@ from skattn import (AttentionMaps, MacCounter, NumericsError, Parameter, Rng, Sh
                     finite_checks, gelu, grad_check, layer_norm, matmul, mean, softmax_rows,
                     transpose)
 from skattn import tensor as tz
-from oracles import brute_conv2d
+from oracles import brute_conv2d, loop_permutation
 
 
 def _zeros(*shape):
@@ -854,6 +854,39 @@ class TestRng:
     def test_permutation_is_permutation(self):
         perm = Rng(1).permutation(257)
         assert sorted(perm.tolist()) == list(range(257))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 2000])
+    def test_permutation_equals_the_array_loop(self, n):
+        for seed in range(5):
+            rng, ref = Rng(seed), Rng(seed)
+            rng.uniform((seed,))
+            ref.uniform((seed,))
+            perm, expected = rng.permutation(n), loop_permutation(ref, n)
+            assert np.array_equal(perm, expected) and perm.dtype == expected.dtype
+            assert rng.counter == ref.counter == seed + max(n - 1, 0)
+
+    def test_stream_bits_are_pinned(self):
+        # the first draws of three streams; any change to the mix, the
+        # 53-bit conversion or Box-Muller changes every synthetic dataset
+        r = Rng(0)
+        assert [float(u).hex() for u in r.uniform((3,))] == [
+            "0x1.c4415072f63b9p-1", "0x1.b9e279aa86e58p-2", "0x1.b117462002500p-6"]
+        r = Rng(1)
+        assert [float(z).hex() for z in r.normal((3,))] == [
+            "0x1.0c608a7c7af59p+0", "-0x1.8b900180a4b1ap-3", "-0x1.706edc345ce07p-1"]
+        assert r.counter == 4
+        r = Rng(2).split("k")
+        assert float(r.normal()).hex() == "-0x1.2fd6c637c57b9p-1"
+        assert float(r.uniform()).hex() == "0x1.d0e946c7b8c3ep-2"
+
+    def test_only_the_empty_tuple_is_a_scalar(self):
+        for draw, scalar_raws in (("uniform", 1), ("normal", 2)):
+            rng = Rng(3)
+            for shape in (0, (0,), (2, 0)):
+                out = getattr(rng, draw)(shape)
+                assert isinstance(out, np.ndarray) and out.size == 0 and rng.counter == 0
+            assert np.ndim(getattr(rng, draw)()) == 0 and rng.counter == scalar_raws
+            assert getattr(rng, draw)(1).shape == (1,)
 
     def test_uniform_range(self):
         u = Rng(2).uniform((10000,))

@@ -9,7 +9,7 @@ from skattn import (AdamW, ConfigError, DataError, Dataset, Module, NumericsErro
                     Parameter, Rng, Tensor, TrainConfig, build_model, clip_grad_norm,
                     cross_entropy, evaluate, load_idx_images, step, synth_dataset, train)
 from skattn import ModelConfig
-from oracles import pooled_nearest_centroid, reference_adam
+from oracles import loop_synth_dataset, pooled_nearest_centroid, reference_adam
 
 
 def toy_model(kind="ska", seed=0, dim=16, heads=2, depth=2):
@@ -50,6 +50,16 @@ class TestSynthDatasets:
     def test_too_few_samples(self):
         with pytest.raises(DataError):
             synth_dataset("stripe_orientation", 1)
+
+    @pytest.mark.parametrize("kind, grid, n, seed", [
+        ("stripe_orientation", (8, 8), 2000, 0), ("stripe_orientation", (8, 8), 500, 1),
+        ("stripe_orientation", (16, 16), 512, 0), ("stripe_orientation", (16, 16), 16, 1),
+        ("two_gaussians_patches", (32, 32), 256, 0), ("two_gaussians_patches", (32, 32), 256, 1)])
+    def test_benchmark_sets_equal_the_image_by_image_loop(self, kind, grid, n, seed):
+        # the train and test sets of the toy-train, wide-tokens and hier-eval workloads
+        ds = synth_dataset(kind, n, grid=grid, seed=seed)
+        images, labels = loop_synth_dataset(kind, n, grid=grid, seed=seed)
+        assert np.array_equal(ds.images, images) and np.array_equal(ds.labels, labels)
 
 
 def _write_idx_pair(tmp_path, images, labels, prefix=""):
@@ -171,6 +181,12 @@ class TestLossAndMetrics:
             evaluate(toy_model(), ds)
         with pytest.raises(DataError, match="cannot train on an empty dataset"):
             train(toy_model(), ds, TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_error(self, batch_size):
+        ds = synth_dataset("stripe_orientation", 8, seed=0)
+        with pytest.raises(DataError, match=rf"batch_size must be at least 1, got {batch_size}"):
+            evaluate(toy_model(), ds, batch_size=batch_size)
 
     def test_dataset_count_mismatch(self):
         with pytest.raises(DataError, match="labels"):
