@@ -259,6 +259,8 @@ def cmd_gradcheck(args) -> int:
     ns = _parse_int_list(args.tokens, "--N")
     ds = _parse_int_list(args.dims, "--D")
     hs = _parse_int_list(args.heads, "--heads")
+    if any(h < 1 for h in hs):
+        raise ConfigError(f"--heads expects head counts of at least 1, got {args.heads!r}")
     seeds = _parse_int_list(args.seeds, "--seeds")
 
     rows = []

@@ -257,7 +257,7 @@ class Model(Module):
         self.head_b = self.register("head_b", Tensor(np.zeros(cfg.num_classes)))
         self._grids = grids
         # bytes of one image's residual stream in the widest stage (CLS included):
-        # `_forward` may run `_blocks` on sub-batches of about `_CHUNK_BYTES` of it
+        # `_forward` may run on sub-batches of about `_CHUNK_BYTES` of it
         self._row_bytes = 8 * max((gh * gw + int(cfg.cls_token)) * s.dim
                                   for (gh, gw), s in zip(grids, cfg.stages))
 
@@ -312,38 +312,36 @@ class Model(Module):
         return out
 
     def _forward(self, images) -> Tensor:
-        """`_blocks`, then the final norm, the readout and the head over the
-        whole batch. Untaped, with no `AttentionMaps` recorder and in eval
-        mode, `_blocks` runs on sub-batches of `_chunk_rows` rows of the
-        widest stage's residual stream, so one sub-batch's activations are
-        alive at a time, with the whole batch's logits bit for bit. Backward
-        needs the whole batch, a recorder one map per layer, and dropout
-        draws its masks layer by layer from one stream. The head stays whole:
-        a product of a few rows rounds differently."""
+        """Stem, stages and downsamples, final norm, readout and head: the
+        logits. Untaped, with no `AttentionMaps` recorder and in eval mode, it
+        runs on sub-batches of `_chunk_rows` rows of the widest stage's
+        residual stream, so one sub-batch's activations are alive at a time.
+        Backward needs the whole batch, a recorder one map per layer, and
+        dropout draws its masks layer by layer from one stream. Every other
+        op, the head too, treats each image alone, so in eval mode an image's
+        logits are the same bits in any batch."""
         x = T._data(images)
         c, h, w = self.cfg.input
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ConfigError(f"expected images [B, {c}, {h}, {w}], got {x.shape}")
-        rows = T._chunk_rows(self._row_bytes)
-        if T._TAPES or T._ATTENTION_MAPS or self.training or len(x) <= rows:
-            tokens = self._blocks(x)
-        else:
-            tokens = T.concat([self._blocks(x[lo:lo + rows]) for lo in range(0, len(x), rows)], axis=0)
-        x = self.norm(tokens)
-        if self.cls is not None:
-            readout = T.slice_axis(x, 1, 0, 1).reshape(x.shape[0], x.shape[2])
-        else:
-            readout = x.mean(axis=1)
-        return T.matmul(readout, self.head_w, self.head_b)
-
-    def _blocks(self, images: np.ndarray) -> Tensor:
-        """The stem, the stages and the downsamples: the last stage's tokens."""
-        tokens = self.embed(images)
-        for s, stage in enumerate(self.stages):
-            if s > 0:
-                tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
-            tokens = stage(tokens)
-        return tokens
+        whole = T._TAPES or T._ATTENTION_MAPS or self.training
+        rows = max(len(x), 1) if whole else T._chunk_rows(self._row_bytes)
+        logits = []
+        for lo in range(0, max(len(x), 1), rows):  # an empty batch is one empty piece
+            tokens = self.embed(x[lo:lo + rows])
+            for s, stage in enumerate(self.stages):
+                if s > 0:
+                    tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
+                tokens = stage(tokens)
+            tokens = self.norm(tokens)
+            if self.cls is not None:
+                readout = T.slice_axis(tokens, 1, 0, 1)
+            else:
+                readout = tokens.mean(axis=1, keepdims=True)
+            # [b, 1, D] @ [D, C]: one product per image
+            out = T.matmul(readout, self.head_w, self.head_b)
+            logits.append(out.reshape(out.shape[0], out.shape[2]))
+        return logits[0] if len(logits) == 1 else T.concat(logits, axis=0)
 
     def attention_maps(self, images) -> list[tuple[str, str, np.ndarray | None]]:
         """Head-averaged post-activation attention per block, in depth order,

@@ -804,19 +804,20 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     (backward reads xhat), the output over xhat; backward uses the
     closed form dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
     with dxhat = g * gamma, keeping only xhat, inv and gamma. Each row mean,
-    the forward's two and the backward's two, is one BLAS product of the
-    [rows, D] operand with a [D, 1] column of 1/D: numpy's reductions over
-    rows a few values wide are slow. It sums x_i * (1/D) where the chain sums
-    x_i and divides by D, so results agree with the chain to rounding (tested
-    to 1e-12).
+    the forward's two and the backward's two, is a BLAS product with a [D, 1]
+    column of 1/D, one per index of the first axis: numpy's reductions over
+    rows a few values wide are slow, and one product over all B*N rows
+    rounds a row according to B*N mod 4, so an image's bits would depend on
+    its batch. It sums x_i * (1/D) where the chain sums x_i and divides by
+    D, so results agree with the chain to rounding (tested to 1e-12).
     """
     xd, gd, bd = _data(x), _data(gamma), _data(beta)
     if xd.ndim == 0 or gd.shape != xd.shape[-1:] or bd.shape != xd.shape[-1:]:
         raise ShapeError(f"layer_norm: gamma {gd.shape} and beta {bd.shape} must both be "
                          f"the last extent of {xd.shape}")
     d = xd.shape[-1]
-    rows = (math.prod(xd.shape[:-1]), d)
-    col = np.full((d, 1), 1.0 / max(d, 1))  # x @ col is the [rows, 1] row mean
+    rows = (xd.shape[0], math.prod(xd.shape[1:-1]), d) if xd.ndim > 1 else (1, 1, d)
+    col = np.full((d, 1), 1.0 / max(d, 1))  # x @ col holds the row means
     # C order whatever x's layout: reshaping a one-image transposed view gives
     # an F-ordered view, whose BLAS product rounds differently
     x2 = np.ascontiguousarray(xd.reshape(rows))

@@ -182,25 +182,22 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def evaluate(model, dataset: Dataset, batch_size: int = 256) -> tuple[float, float]:
-    """Top-1 accuracy and mean loss; argmax ties break toward the lowest class."""
+    """Top-1 accuracy and mean loss; argmax ties break toward the lowest class.
+    The batches' logits are concatenated and scored at once, so neither
+    depends on `batch_size`."""
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
     if batch_size < 1:
         raise DataError(f"batch_size must be at least 1, got {batch_size}")
     was_training = model.training
     model.eval()
-    correct = 0
-    loss_sum = 0.0
     try:
-        for lo in range(0, len(dataset), batch_size):
-            hi = min(lo + batch_size, len(dataset))
-            logits = model(Tensor(dataset.images[lo:hi]))
-            preds = np.argmax(logits.data, axis=1)
-            correct += int((preds == dataset.labels[lo:hi]).sum())
-            loss_sum += cross_entropy(logits, dataset.labels[lo:hi]).data.item() * (hi - lo)
+        logits = np.concatenate([model(Tensor(dataset.images[lo:lo + batch_size])).data
+                                 for lo in range(0, len(dataset), batch_size)])
     finally:
         model.train(was_training)
-    return correct / len(dataset), loss_sum / len(dataset)
+    correct = int((np.argmax(logits, axis=1) == dataset.labels).sum())
+    return correct / len(dataset), cross_entropy(Tensor(logits), dataset.labels).data.item()
 
 
 # ---------------------------------------------------------------------------

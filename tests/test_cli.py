@@ -109,6 +109,14 @@ class TestGradcheckCommand:
         assert rows[0] == "mixer,N,D,heads,seed,param,max_rel_error,status"
         assert all(r.endswith("PASS") for r in rows[1:])
 
+    @pytest.mark.parametrize("heads", ["0", "2,0", "-1"])
+    def test_head_count_below_one_exits_2(self, tmp_path, capsys, heads):
+        rc = run("gradcheck", "--mixer", "ska", "--N", "4", "--D", "8",
+                 "--heads", heads, "--seeds", "0", "--out", str(tmp_path / "gc"))
+        assert rc == 2
+        assert "--heads" in capsys.readouterr().err
+        assert not (tmp_path / "gc").exists()
+
     def test_corrupted_backward_detected(self, tmp_path, monkeypatch):
         real = cli.grad_check
 

@@ -263,9 +263,15 @@ class TestModel:
                                              for r in rows if not r.passed]
 
 
-# the toy-train shape, and hier-eval's [dwconv, <kind>, attn, attn] placement
+# the toy-train shape, and hier-eval's [dwconv, <kind>, attn, attn] placement;
+# then token counts that are not a multiple of 4: the toy shape with a CLS
+# token (N = 65; sepconv carries none, so its model pools), and a 7x7 grid
 _BATCH_SHAPES = {
     "toy": lambda kind: dict(input=(1, 8, 8), patch=1,
+                             stages=[{"kind": kind, "depth": 2, "dim": 32, "heads": 4}]),
+    "cls": lambda kind: dict(input=(1, 8, 8), patch=1, cls_token=kind != "sepconv",
+                             stages=[{"kind": kind, "depth": 2, "dim": 32, "heads": 4}]),
+    "7x7": lambda kind: dict(input=(1, 7, 7), patch=1,
                              stages=[{"kind": kind, "depth": 2, "dim": 32, "heads": 4}]),
     "hier": lambda kind: dict(input=(1, 32, 32), patch=2, stages=[
         {"kind": "dwconv", "depth": 1, "dim": 8, "heads": 1},
@@ -295,17 +301,29 @@ class TestBatchInvariance:
         assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
-def _count_blocks(monkeypatch):
-    """Count the calls of `Model._blocks`: one per sub-batch of a forward."""
+def _count_pieces(monkeypatch):
+    """Count the calls of `Model.embed`: one per sub-batch of a forward."""
     calls = []
-    blocks = Model._blocks
+    embed = Model.embed
 
     def counted(self, images):
         calls.append(images.shape[0])
-        return blocks(self, images)
+        return embed(self, images)
 
-    monkeypatch.setattr(Model, "_blocks", counted)
+    monkeypatch.setattr(Model, "embed", counted)
     return calls
+
+
+def _pieces(b, rows):
+    return [min(rows, b - lo) for lo in range(0, b, rows)]
+
+
+def _sub_batch_rows(shape, kind):
+    """The rows per sub-batch at the default `_CHUNK_BYTES`: 1 MiB over the
+    widest stage's 8 * N * D bytes per image (sepconv's "cls" model pools)."""
+    if shape == "cls" and kind == "sepconv":
+        return 64
+    return {"toy": 64, "cls": 63, "7x7": 83, "hier": 64}[shape]
 
 
 def _hier_model(kind, **kw):
@@ -314,16 +332,17 @@ def _hier_model(kind, **kw):
 
 
 class TestSubBatchedEval:
-    """An untaped eval forward runs the stem and stages on sub-batches of
-    `_chunk_rows` rows (64 at both shapes), then the head once."""
+    """An untaped eval forward runs the whole forward, head included, on
+    sub-batches of `_chunk_rows` rows (64 at the toy and hier shapes, 63 with
+    a CLS token, 83 on the 7x7 grid; one at a `_CHUNK_BYTES` of 1)."""
 
     @pytest.mark.parametrize("shape", list(_BATCH_SHAPES))
     @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska", "sepconv"])
     def test_logits_and_macs_equal_the_taped_whole_batch(self, kind, shape, monkeypatch):
         cfg = ModelConfig(num_classes=2, mlp_ratio=2.0, **_BATCH_SHAPES[shape](kind))
         model = build_model(cfg, seed=3)
-        calls = _count_blocks(monkeypatch)
-        for chunk_bytes, rows in ((tz._CHUNK_BYTES, 64), (1, 1)):
+        calls = _count_pieces(monkeypatch)
+        for chunk_bytes, rows in ((tz._CHUNK_BYTES, _sub_batch_rows(shape, kind)), (1, 1)):
             monkeypatch.setattr(tz, "_CHUNK_BYTES", chunk_bytes)
             for b in (1, 2, 63, 64, 65, 256, 257):
                 images = Rng(4).normal((b,) + cfg.input)
@@ -332,13 +351,13 @@ class TestSubBatchedEval:
                 calls.clear()
                 with MacCounter() as split:
                     got = model(images).data
-                assert calls == [min(rows, b - lo) for lo in range(0, b, rows)]
+                assert calls == _pieces(b, rows)
                 assert np.array_equal(got, want), (chunk_bytes, b)
                 assert split.macs == whole.macs
 
     def test_tape_recorder_or_training_keep_the_batch_whole(self, monkeypatch):
         images = Rng(4).normal((65, 1, 32, 32))
-        calls = _count_blocks(monkeypatch)
+        calls = _count_pieces(monkeypatch)
         model = _hier_model("cska")
         with Tape():
             model(images)
@@ -363,13 +382,13 @@ class TestSubBatchedEval:
 
     @pytest.mark.parametrize("shape", list(_BATCH_SHAPES))
     def test_overflow_in_a_later_sub_batch_names_the_per_op_culprit(self, shape, monkeypatch):
-        # finite images; only image 129, in the third sub-batch of 64, is
-        # scaled so far that the stem's output overflows
+        # finite images; only image 129, in the last sub-batch, is scaled so
+        # far that the stem's output overflows
         cfg = ModelConfig(num_classes=2, mlp_ratio=2.0, **_BATCH_SHAPES[shape]("cska"))
         model = build_model(cfg, seed=3)
         x = Rng(4).normal((130,) + cfg.input)
         x[129] = 1e308 * np.sign(x[129])
-        calls = _count_blocks(monkeypatch)
+        calls = _count_pieces(monkeypatch)
         with np.errstate(all="ignore"), finite_checks(True):
             with Tape(), pytest.raises(NumericsError) as whole:
                 model._forward(x)  # taped: one batch, every op scanned
@@ -380,13 +399,14 @@ class TestSubBatchedEval:
         assert str(checked.value) == str(per_op.value) == str(whole.value)
         assert "produced by" in str(checked.value)
         # taped whole; per-op; the checked pass, then its replay
-        assert calls == [130, 64, 64, 2, 64, 64, 2, 64, 64, 2]
+        pieces = _pieces(130, _sub_batch_rows(shape, "cska"))  # [64, 64, 2] or [63, 63, 4] or [83, 47]
+        assert calls == [130] + 3 * pieces
 
     @pytest.mark.parametrize("kind", ["mhsa", "ska", "cska", "sepconv"])
     def test_batch_256_eval_peaks_below_12_mib(self, kind):
         # hier-eval's eval: 256 images through [dwconv, <kind>, attn, attn],
         # per-op scans off as in a model forward. The whole batch would peak
-        # at 28.0 MiB in stage 0's MLP; sub-batches of 64 peak at 7.1 MiB
+        # at 28.0 MiB in stage 0's MLP; sub-batches of 64 peak at 7.0 MiB
         model = _hier_model(kind)
         images = Rng(4).normal((256, 1, 32, 32))
         tracemalloc.start()

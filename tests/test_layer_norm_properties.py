@@ -104,3 +104,17 @@ def test_bits_do_not_depend_on_the_input_layout(n, d, seed):
         taped, grads = _grads(lambda *a: layer_norm(*a, EPS), tensors, w)
         results.append([untaped, taped, *grads])
     assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+@PROPERTY
+@given(st.integers(2, 9), st.integers(1, 70), st.integers(1, 17), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_rows_do_not_depend_on_the_batch(b, n, d, three_d, seed):
+    # the first k images of a batch, [k, N, D] or [k, D], normalise to the
+    # bits the whole batch gives them, whatever N mod 4
+    rng = Rng(seed)
+    x = rng.normal((b, n, d) if three_d else (b, d))
+    gamma, beta = Tensor(rng.normal((d,))), Tensor(rng.normal((d,)))
+    whole = layer_norm(Tensor(x), gamma, beta, EPS).data
+    for k in range(1, b):
+        assert np.array_equal(layer_norm(Tensor(x[:k]), gamma, beta, EPS).data, whole[:k]), k

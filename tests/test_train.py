@@ -188,6 +188,16 @@ class TestLossAndMetrics:
         with pytest.raises(DataError, match=rf"batch_size must be at least 1, got {batch_size}"):
             evaluate(toy_model(), ds, batch_size=batch_size)
 
+    def test_accuracy_and_loss_do_not_depend_on_batch_size(self):
+        # a CLS model (N = 65 tokens): each image's logits are the same bits in
+        # any batch, and the batches' logits are scored at once
+        cfg = ModelConfig(input=(1, 8, 8), patch=1, num_classes=2, mlp_ratio=2.0, cls_token=True,
+                          stages=[{"kind": "ska", "depth": 2, "dim": 16, "heads": 2}])
+        model = build_model(cfg, seed=0)
+        ds = synth_dataset("stripe_orientation", 300, seed=1)
+        results = {b: evaluate(model, ds, batch_size=b) for b in (1, 3, 7, 64, 256)}
+        assert len(set(results.values())) == 1, results
+
     def test_dataset_count_mismatch(self):
         with pytest.raises(DataError, match="labels"):
             Dataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=np.int64))
