@@ -4,6 +4,7 @@ finite-difference oracle for validating analytic gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,8 +131,15 @@ def grad_check(f: Callable[[], Tensor], params: list[Parameter], *,
     atol = epsilon^2 + 8 machine epsilons * max(|f|, 1) / epsilon bounds
     the central difference's own truncation and rounding errors (2.6e-10
     was seen for |f| = 34 at epsilon = 1e-5, so a purely relative test
-    fails correct gradients below about 3e-5 there).
+    fails correct gradients below about 3e-5 there). `epsilon` and
+    `tolerance` must be positive and finite and `max_coords` at least 1,
+    else OracleError.
     """
+    for name, value in (("epsilon", epsilon), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise OracleError(f"grad_check {name} must be positive and finite, got {value!r}")
+    if max_coords < 1:
+        raise OracleError(f"grad_check max_coords must be >= 1, got {max_coords!r}")
     v1 = f().data.item()
     v2 = f().data.item()
     if v1 != v2:

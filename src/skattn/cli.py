@@ -226,9 +226,12 @@ def write_pgm(path: Path, matrix: np.ndarray) -> None:
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
+        values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated integers, got {raw!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} names no values, got {raw!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
     kinds = [args.mixer] if args.mixer else list(KINDS)
     ns = _parse_int_list(args.tokens, "--N")
     ds = _parse_int_list(args.dims, "--D")
@@ -262,12 +267,14 @@ def cmd_gradcheck(args) -> int:
     if any(h < 1 for h in hs):
         raise ConfigError(f"--heads expects head counts of at least 1, got {args.heads!r}")
     seeds = _parse_int_list(args.seeds, "--seeds")
+    grid = [cell for cell in product(kinds, ns, ds, hs, seeds) if cell[2] % cell[3] == 0]
+    if not grid:
+        raise ConfigError(f"the grid is empty: no --D in {args.dims!r} is divisible by "
+                          f"a --heads in {args.heads!r}")
 
     rows = []
     all_passed = True
-    for kind, n, d, h, seed in product(kinds, ns, ds, hs, seeds):
-        if d % h:
-            continue
+    for kind, n, d, h, seed in grid:
         cfg = counting_config(kind, n, d, heads=h)
         cfg.qkv_bias = True
         mixer = build_mixer(cfg, Rng(seed))
@@ -431,6 +438,8 @@ def _max_row_sum_deviation(model, images: np.ndarray) -> float:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     acts = [a.strip() for a in args.activations.split(",") if a.strip()]
+    if not acts:
+        raise ConfigError(f"--activations names no activation, got {args.activations!r}")
     unknown = [a for a in acts if a not in ACTIVATIONS]
     if unknown:
         raise ConfigError(

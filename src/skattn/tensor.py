@@ -17,12 +17,42 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.util
 import math
+import sys
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericsError, ShapeError
+
+
+def _load_erf():
+    """scipy's erf ufunc, without running scipy.special's package init.
+
+    That init loads scipy's array-API layer (numpy.random, numpy.testing,
+    numpy.ma, numpy.f2py, ...), about 16 MiB that nothing here uses. The
+    ufunc lives in the compiled `scipy.special._ufuncs`, which imports only
+    its sibling extensions, so it is imported under a bare, unexecuted
+    `scipy.special` package entry that is removed again afterwards. The
+    result is the object `scipy.special.erf` names: a later
+    `import scipy.special` runs the real init and reuses the loaded module.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.erf
+    try:
+        spec = importlib.util.find_spec("scipy.special")
+        sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+        try:
+            from scipy.special._ufuncs import erf
+        finally:
+            del sys.modules["scipy.special"]
+    except ImportError:
+        from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _TAPES: list["Tape"] = []
 _MAC_COUNTERS: list["MacCounter"] = []

@@ -40,8 +40,10 @@ class TrainConfig:
         self.betas = tuple(self.betas)
         if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0 <= b < 1 for b in self.betas):
             raise ConfigError(f"train.betas must be two values in [0, 1), got {list(self.betas)}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"train.lr must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"train.weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 1:

@@ -242,6 +242,26 @@ class TestGradCheck:
         with pytest.raises(OracleError, match="deterministic"):
             grad_check(f, [Parameter("w", w)])
 
+    @pytest.mark.parametrize("setting", [
+        {"tolerance": 0.0}, {"tolerance": -1e-5}, {"tolerance": float("nan")},
+        {"tolerance": float("inf")}, {"epsilon": 0.0}, {"epsilon": -1e-5},
+        {"epsilon": float("nan")}, {"epsilon": float("inf")},
+        {"max_coords": 0}, {"max_coords": -1},
+    ], ids=lambda s: "{}={}".format(*next(iter(s.items()))))
+    def test_invalid_settings_rejected(self, setting):
+        # tolerance 0 divided atol by zero and failed every parameter;
+        # max_coords 0 checked no coordinate of a larger tensor and passed it
+        w = Tensor(Rng(13).normal((3, 3)))
+        calls = []
+
+        def f():
+            calls.append(1)
+            return (w * w).sum()
+
+        with pytest.raises(OracleError, match=next(iter(setting))):
+            grad_check(f, [Parameter("w", w)], **setting)
+        assert not calls
+
 
 class TestPrimitiveGradients:
     """Finite-difference check for every primitive's backward rule."""

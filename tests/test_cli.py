@@ -117,6 +117,32 @@ class TestGradcheckCommand:
         assert "--heads" in capsys.readouterr().err
         assert not (tmp_path / "gc").exists()
 
+    @pytest.mark.parametrize("grid,flags", [
+        (["--D", "6", "--heads", "4"], ["--D", "--heads"]),
+        (["--D", "6", "--heads", "4,5"], ["--D", "--heads"]),
+        (["--seeds", ""], ["--seeds"]),
+        (["--N", " , "], ["--N"]),
+        (["--D", ","], ["--D"]),
+        (["--heads", ""], ["--heads"]),
+    ], ids=["indivisible", "indivisible_list", "no_seeds", "no_tokens", "no_dims", "no_heads"])
+    def test_empty_grid_exits_2_naming_its_flags(self, tmp_path, capsys, grid, flags):
+        out = tmp_path / "gc"
+        rc = run("gradcheck", "--mixer", "ska", "--N", "4", "--D", "8", "--heads", "2",
+                 "--seeds", "0", *grid, "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1e-5", "nan", "inf"])
+    def test_non_positive_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "gc"
+        rc = run("gradcheck", "--mixer", "ska", "--N", "4", "--D", "8", "--heads", "2",
+                 "--seeds", "0", f"--tolerance={tolerance}", "--out", str(out))
+        assert rc == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupted_backward_detected(self, tmp_path, monkeypatch):
         real = cli.grad_check
 
@@ -296,6 +322,13 @@ class TestSweepCommand:
         assert rc == 2
         assert "divisible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("heads", ["", " , "], ids=["blank", "commas"])
+    def test_empty_heads_exit_2_before_writing(self, tmp_path, capsys, heads):
+        out = tmp_path / "sw"
+        assert run("sweep", "--heads", heads, *FAST_TRAIN, "--out", str(out)) == 2
+        assert "--heads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_eight_cells_with_normalization_flags(self, tmp_path):
@@ -321,6 +354,13 @@ class TestAblateCommand:
         rc = run("ablate", "--activations", "swish", "--out", str(tmp_path / "ab"))
         assert rc == 2
         assert "softmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("activations", ["", " , "], ids=["blank", "commas"])
+    def test_empty_activations_exit_2_before_writing(self, tmp_path, capsys, activations):
+        out = tmp_path / "ab"
+        assert run("ablate", "--activations", activations, *FAST_TRAIN, "--out", str(out)) == 2
+        assert "--activations" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIdxData:
@@ -430,6 +470,14 @@ class TestConfigDefaults:
         assert run("train", *FAST_TRAIN, "--set", f"train.{key}=-1", "--out", str(out)) == 2
         assert f"train.{key}" in capsys.readouterr().err
         assert not (out / "model.skaf").exists()
+
+    @pytest.mark.parametrize("decay", ["-1", "-0.5"])
+    def test_negative_weight_decay_exits_2_before_training(self, tmp_path, capsys, decay):
+        out = tmp_path / "x"
+        assert run("train", *FAST_TRAIN, "--set", f"train.weight_decay={decay}",
+                   "--out", str(out)) == 2
+        assert "train.weight_decay" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["count", "--mixer", "ska", "--N", "16", "--D", "8", "--seed", "3"],

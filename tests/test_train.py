@@ -354,3 +354,13 @@ class TestTrainLoop:
             with pytest.raises(ConfigError, match="seed"):
                 TrainConfig(seed=seed)
         assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("weight_decay", -0.5),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ])
+    def test_bad_lr_or_weight_decay_rejected(self, field, value):
+        # NaN passed the old `lr <= 0` test, and weight_decay was not checked at all
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
