@@ -1,8 +1,8 @@
 """Blocks and hierarchical models around the token mixers.
 
 A block is norm -> mixer -> residual, then norm -> MLP -> residual. Models
-stack stages of blocks with per-stage mixer selection, a strided patch
-embedding in front, patch-merge downsampling between stages, and a
+stack stages of blocks with per-stage mixer selection, a patch embedding in
+front, patch-merge downsampling between stages (both `merge_patches`), and a
 classifier head (global average pool, or the CLS state for single-stage
 CLS configs).
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -127,6 +128,8 @@ class ModelConfig:
         self.input = tuple(self.input)
         if len(self.input) != 3:
             raise ConfigError(f"input must be (channels, height, width), got {self.input}")
+        if min(self.input) < 1:
+            raise ConfigError(f"input extents must be >= 1, got {self.input}")
         try:
             self.stages = [s if isinstance(s, StageConfig) else StageConfig(**s)
                            for s in self.stages]
@@ -148,8 +151,11 @@ class ModelConfig:
             raise ConfigError("cls_token is only supported in single-stage models")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
-        if self.mlp_ratio <= 0:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+        # a stage's dim below 1 is the error its mixer's config names
+        if not 0 < self.mlp_ratio < math.inf or any(round(self.mlp_ratio * s.dim) < 1 <= s.dim
+                                                    for s in self.stages):
+            raise ConfigError("mlp_ratio must be positive and finite, and round every stage's "
+                              f"MLP width to >= 1, got {self.mlp_ratio}")
         self.stage_grids()
 
     def stage_grids(self) -> list[tuple[int, int]]:
@@ -193,22 +199,33 @@ class Stage(Module):
         return x
 
 
-class Downsample(Module):
-    """Patch-merge between stages: strided conv, kernel = stride = factor."""
+def merge_patches(x, grid: tuple[int, int], weight: Tensor, bias: Tensor) -> Tensor:
+    """The conv with a [C_out, C, f, f] weight and stride f, as one biased
+    matmul of flattened patches (ViT: Dosovitskiy et al., arXiv 2010.11929,
+    §3.1). `x` holds B channels-last images on the (H, W) `grid` in row-major
+    order ([B, H*W, C] tokens or a [B, H, W, C] view). Each f x f patch is
+    flattened in (i, j, c) order, so that its copy moves runs of f*C values,
+    and the weight is read in that order too. A plain array (the images)
+    moves through numpy, not the tape, so no gradient is computed for it."""
+    ops = T if isinstance(x, Tensor) else np
+    (h, w), b, c, f = grid, x.shape[0], x.shape[-1], weight.shape[-1]
+    patches = ops.transpose(ops.reshape(x, (b, h // f, f, w // f, f, c)), (0, 1, 3, 2, 4, 5))
+    patches = ops.reshape(patches, (b, h // f * (w // f), f * f * c))
+    return T.matmul(patches, weight.transpose(2, 3, 1, 0).reshape(f * f * c, weight.shape[0]), bias)
 
-    def __init__(self, dim_in: int, dim_out: int, factor: int, rng: Rng):
+
+class Downsample(Module):
+    """Patch-merge between stages: `merge_patches` of the tokens on `grid`."""
+
+    def __init__(self, dim_in: int, dim_out: int, factor: int, grid: tuple[int, int], rng: Rng):
         super().__init__()
-        self.factor = factor
+        self.grid = grid
         fan_in = dim_in * factor * factor
         self.w = self.register("w", Tensor(rng.normal((dim_out, dim_in, factor, factor)) / np.sqrt(fan_in)))
         self.b = self.register("b", Tensor(np.zeros(dim_out)))
 
-    def forward(self, x: Tensor, grid: tuple[int, int]) -> Tensor:
-        b, n, d = x.shape
-        img = x.transpose(0, 2, 1).reshape(b, d, *grid)
-        img = T.conv2d_grouped(img, self.w, self.b, stride=self.factor, padding=0, groups=1)
-        _, d_out, nh, nw = img.shape
-        return img.reshape(b, d_out, nh * nw).transpose(0, 2, 1)
+    def forward(self, x: Tensor) -> Tensor:
+        return merge_patches(x, self.grid, self.w, self.b)
 
 
 class Model(Module):
@@ -247,7 +264,7 @@ class Model(Module):
             self.stages.append(stage)
             if s + 1 < len(cfg.stages):
                 down = Downsample(stage_cfg.dim, cfg.stages[s + 1].dim, cfg.downsample[s],
-                                  rng.split(f"down{s + 1}"))
+                                  grid, rng.split(f"down{s + 1}"))
                 self.add_module(f"down{s + 1}", down)
                 self.downsamples.append(down)
 
@@ -255,7 +272,6 @@ class Model(Module):
         self.norm = self.add_module("norm", LayerNorm(d_last))
         self.head_w = self.register("head_w", Tensor(rng.split("head").normal((d_last, cfg.num_classes)) / np.sqrt(d_last)))
         self.head_b = self.register("head_b", Tensor(np.zeros(cfg.num_classes)))
-        self._grids = grids
         # bytes of one image's residual stream in the widest stage (CLS included):
         # `_forward` may run on sub-batches of about `_CHUNK_BYTES` of it
         self._row_bytes = 8 * max((gh * gw + int(cfg.cls_token)) * s.dim
@@ -264,12 +280,10 @@ class Model(Module):
     def embed(self, images: np.ndarray) -> Tensor:
         """The patch tokens of [B, C, H, W] images, position embedding (and
         CLS) included."""
-        # the images as a plain array: they are data, so no gradient is computed for them
-        x = T.conv2d_grouped(images, self.stem_w, self.stem_b, stride=self.cfg.patch, padding=0)
-        b, d0 = x.shape[0], x.shape[1]
-        tokens = x.reshape(b, d0, x.shape[2] * x.shape[3]).transpose(0, 2, 1) + self.pos
+        tokens = merge_patches(images.transpose(0, 2, 3, 1), self.cfg.input[1:],
+                               self.stem_w, self.stem_b) + self.pos
         if self.cls is not None:
-            cls_tok = T.broadcast_to(self.cls, (b, 1, d0))
+            cls_tok = T.broadcast_to(self.cls, (tokens.shape[0],) + self.cls.shape[1:])
             tokens = T.concat([cls_tok, tokens], axis=1)
         return tokens
 
@@ -328,11 +342,9 @@ class Model(Module):
         rows = max(len(x), 1) if whole else T._chunk_rows(self._row_bytes)
         logits = []
         for lo in range(0, max(len(x), 1), rows):  # an empty batch is one empty piece
-            tokens = self.embed(x[lo:lo + rows])
-            for s, stage in enumerate(self.stages):
-                if s > 0:
-                    tokens = self.downsamples[s - 1](tokens, self._grids[s - 1])
-                tokens = stage(tokens)
+            tokens = self.stages[0](self.embed(x[lo:lo + rows]))
+            for down, stage in zip(self.downsamples, self.stages[1:]):
+                tokens = stage(down(tokens))
             tokens = self.norm(tokens)
             if self.cls is not None:
                 readout = T.slice_axis(tokens, 1, 0, 1)

@@ -92,6 +92,8 @@ class MixerConfig:
         if self.grid is not None:
             self.grid = tuple(self.grid)
             gh, gw = self.grid
+            if gh < 1 or gw < 1:
+                raise ConfigError(f"grid extents must be >= 1, got {gh}x{gw}")
             if gh * gw != self.tokens:
                 raise ConfigError(f"grid {gh}x{gw} does not match {self.tokens} tokens")
         if self.kind in GRID_KINDS:
@@ -303,8 +305,7 @@ class SepConv(TokenMixer):
             raise ShapeError(f"sepconv built for a {gh}x{gw} grid but input carries {n} tokens")
         h = T.matmul(x, self.pw1, self.b1)
         img = h.transpose(0, 2, 1).reshape(b, d, gh, gw)
-        img = T.conv2d_grouped(img, self.dw, self.bdw,
-                               stride=1, padding=(cfg.kernel - 1) // 2, groups=d)
+        img = T.conv2d_grouped(img, self.dw, self.bdw, groups=d)
         h = img.reshape(b, d, n).transpose(0, 2, 1)
         return self._dropout(T.matmul(h, self.pw2, self.b2))
 

@@ -454,29 +454,16 @@ def matmul(a, b, bias=None) -> Tensor:
     return _make(out, "matmul", (a, b, bias), bwd)
 
 
-def _out_extent(H: int, W: int, k: int, stride: int, padding: int, op: str) -> tuple[int, int]:
-    """(H', W') with H' = (H + 2*padding - k) // stride + 1; ShapeError when
-    the kernel does not fit the padded input."""
-    ho = (H + 2 * padding - k) // stride + 1
-    wo = (W + 2 * padding - k) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"{op}: kernel {k} too large for input {H}x{W} with padding {padding}")
-    return ho, wo
-
-
-def _windows(xd: np.ndarray, k: int, stride: int, padding: int, op: str) -> np.ndarray:
-    """The k x k windows of the zero-padded [B, C, H, W] array `xd`, as a
-    read-only strided view [B, C, k, k, H', W'] of it (of a zero-padded copy
-    when padding is nonzero). Callers copy what they keep."""
+def _windows(xd: np.ndarray, k: int) -> np.ndarray:
+    """The k x k windows, k odd, of the [B, C, H, W] array `xd` zero-padded by
+    (k-1)/2 on every side, as a read-only strided view [B, C, k, k, H, W] of
+    a padded copy. Callers copy what they keep."""
     B, C, H, W = xd.shape
-    ho, wo = _out_extent(H, W, k, stride, padding, op)
-    xp = xd
-    if padding:
-        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = xd
-    sb, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (B, C, k, k, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    p = (k - 1) // 2
+    xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+    xp[:, :, p:p + H, p:p + W] = xd
+    return np.lib.stride_tricks.as_strided(xp, (B, C, k, k, H, W), xp.strides + xp.strides[2:],
+                                           writeable=False)
 
 
 def _copy_windows(buf: np.ndarray, win: np.ndarray) -> np.ndarray:
@@ -492,30 +479,29 @@ def _copy_windows(buf: np.ndarray, win: np.ndarray) -> np.ndarray:
 def _window_products(lhs: np.ndarray, windows, out: np.ndarray) -> None:
     """out[b] = lhs @ (the windows of batch row b), for lhs [G, M, K] and out
     [B, G, M, P], in chunks of batch rows whose windows take about
-    `_CHUNK_BYTES`. `windows(lo, hi)` gives rows lo:hi as a view whose
-    rows hold G*K*P values each; they are copied into one chunk buffer
-    reused by every chunk. Each matrix product is the one BLAS call that a
-    single whole-batch matmul would make for that row."""
+    `_CHUNK_BYTES`. `windows(lo, hi)` gives rows lo:hi (hi clipped at B) as
+    a view whose rows hold G*K*P values each; they are copied into one chunk
+    buffer reused by every chunk. Each matrix product is the one BLAS call
+    that a single whole-batch matmul would make for that row."""
     B, G, _, P = out.shape
     K = lhs.shape[-1]
     rows = _chunk_rows(8 * G * K * P)
     buf = np.empty((min(rows, B), G, K, P))
     for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        np.matmul(lhs, _copy_windows(buf, windows(lo, hi)), out=out[lo:hi])
+        np.matmul(lhs, _copy_windows(buf, windows(lo, lo + rows)), out=out[lo:lo + rows])
 
 
 def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-                   stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2D convolution with zero padding, as one taped entry.
+                   groups: int = 1) -> Tensor:
+    """Grouped 2D convolution, stride 1 and same padding, as one taped entry.
 
-    x: [B, C_in, H, W]; weight: [C_out, C_in/groups, k, k]; bias: [C_out].
-    Output [B, C_out, H', W'] with H' = (H + 2*padding - k) // stride + 1.
-    Each output group reads only its own input group. The forward takes the
-    matmul of the weight as [G, C_out/G, C_in/G*k*k] with the input's window
-    columns [G, C_in/G*k*k, H'*W'] (im2col), then adds the bias in place:
-    out_elems * (C_in/groups) * k^2 MACs. Output, weight and bias gradients
-    equal those of the im2col -> matmul -> reshape -> add chain bit for bit.
+    x: [B, C_in, H, W], zero-padded by (k-1)/2; weight: [C_out, C_in/groups,
+    k, k], k odd; bias: [C_out]; output [B, C_out, H, W]. Each output group
+    reads only its own input group. The forward takes the matmul of the
+    weight as [G, C_out/G, C_in/G*k*k] with the input's window columns
+    [G, C_in/G*k*k, H*W] (im2col), then adds the bias in place: out_elems *
+    (C_in/groups) * k^2 MACs. Output, weight and bias gradients equal those
+    of the im2col -> matmul -> reshape -> add chain bit for bit.
 
     The windows are copied and multiplied a chunk of batch rows at a time,
     about `_CHUNK_BYTES` of windows each, into one reused chunk buffer
@@ -527,65 +513,51 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     same BLAS call as in one whole-batch matmul, so chunking changes no bit.
 
     The input gradient is the transposed convolution (Dumoulin & Visin,
-    arXiv 1603.07285): the output gradient, dilated by the stride and placed
-    k-1-padding cells in, correlated with the kernel flipped in both spatial
-    axes and transposed within each group, built and multiplied in chunks of
-    batch rows the same way. It sums the same products as the chain's
-    column-gradient scatter in another order, so it agrees with it to
-    rounding (tested to 1e-12 relative).
+    arXiv 1603.07285), here a same-padded one too: the output gradient's
+    windows correlated with the kernel flipped in both spatial axes and
+    transposed within each group, in chunks of batch rows the same way. It
+    sums the chain's column-gradient scatter in another order, so it agrees
+    with it to rounding (tested to 1e-12 relative).
     """
     xd, wd = _data(x), _data(weight)
     if xd.ndim != 4:
         raise ShapeError(f"conv2d: input must be [B, C, H, W], got {xd.shape}")
-    if wd.ndim != 4 or wd.shape[2] != wd.shape[3] or wd.shape[2] < 1:
-        raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k] with k >= 1, got {wd.shape}")
+    if wd.ndim != 4 or wd.shape[2] != wd.shape[3] or wd.shape[2] % 2 == 0:
+        raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k] with k >= 1, got "
+                         f"{wd.shape} (same padding needs an odd k)")
     B, cin, H, W = xd.shape
     cout, cg, k, _ = wd.shape
-    if stride < 1 or groups < 1 or padding < 0:
-        raise ShapeError(f"conv2d: needs stride >= 1, groups >= 1 and padding >= 0, got "
-                         f"stride={stride}, groups={groups}, padding={padding}")
-    if cin % groups or cout % groups:
+    if groups < 1 or cin % groups or cout % groups:
         raise ShapeError(f"conv2d: channels ({cin} in, {cout} out) not divisible by groups={groups}")
     if cg != cin // groups:
         raise ShapeError(f"conv2d: weight expects {cg} channels/group but input provides {cin // groups}")
     bd = None if bias is None else _data(bias)
     if bd is not None and bd.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bd.shape} != ({cout},)")
-    ho, wo = _out_extent(H, W, k, stride, padding, "conv2d")  # raised before any chunk, even for B = 0
     cog = cout // groups
     w3 = wd.reshape(groups, cog, cg * k * k)
-    _add_macs(B * groups * cog * cg * k * k * ho * wo)
-    out = np.empty((B, groups, cog, ho * wo))
-    _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k, stride, padding, "conv2d"), out)
-    out = out.reshape(B, cout, ho, wo)
+    _add_macs(B * groups * cog * cg * k * k * H * W)
+    out = np.empty((B, groups, cog, H * W))
+    _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k), out)
+    out = out.reshape(B, cout, H, W)
     if bd is not None:
         out += bd.reshape(cout, 1, 1)
 
     def bwd(g):
         grads = []
         if isinstance(x, Tensor):
-            # the stride-dilated gradient starts k-1 cells into `frame`; the
-            # windows are read from `padding` cells in, so they see it k-1-padding
-            # cells in (cropped where that is negative)
-            hg, wg = H + padding + max(k - 1, padding), W + padding + max(k - 1, padding)
-
-            def dilated_windows(lo, hi):
-                frame = np.zeros((hi - lo, cout, hg, wg))
-                frame[:, :, k - 1:k + stride * (ho - 1):stride, k - 1:k + stride * (wo - 1):stride] = g[lo:hi]
-                return _windows(frame[:, :, padding:padding + H + k - 1, padding:padding + W + k - 1],
-                                k, 1, 0, "conv2d")
-
             # [G, C_in/G, C_out/G*k*k]: flipped, transposed per group, C-contiguous for BLAS
             flipped = np.ascontiguousarray(
                 wd.reshape(groups, cog, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4))
             dx = np.empty((B, groups, cg, H * W))
-            _window_products(flipped.reshape(groups, cg, cog * k * k), dilated_windows, dx)
+            _window_products(flipped.reshape(groups, cg, cog * k * k),
+                             lambda lo, hi: _windows(g[lo:hi], k), dx)
             grads.append(dx.reshape(B, cin, H, W))
         if isinstance(weight, Tensor):  # each row's product, as one matmul makes it, then their sum
-            g4, rows = g.reshape(B, groups, cog, ho * wo), _chunk_rows(8 * cin * k * k * ho * wo)
-            buf, dw = np.empty((min(rows, B), groups, cg * k * k, ho * wo)), np.empty((B,) + w3.shape)
+            g4, rows = g.reshape(B, groups, cog, H * W), _chunk_rows(8 * cin * k * k * H * W)
+            buf, dw = np.empty((min(rows, B), groups, cg * k * k, H * W)), np.empty((B,) + w3.shape)
             for lo in range(0, B, rows):
-                cols = _copy_windows(buf, _windows(xd[lo:lo + rows], k, stride, padding, "conv2d"))
+                cols = _copy_windows(buf, _windows(xd[lo:lo + rows], k))
                 np.matmul(g4[lo:lo + rows], np.swapaxes(cols, -1, -2), out=dw[lo:lo + rows])
             grads.append(_unbroadcast(dw, w3.shape).reshape(wd.shape))
         if isinstance(bias, Tensor):
@@ -734,7 +706,7 @@ def attention(q, k, v, scale: float = 1.0, bias=None, kernel: int | None = None,
     def queries(sl: slice, buf) -> np.ndarray:  # a chunk's queries as [n, H, dk, Nq], windows copied into buf
         if kernel is None:
             return np.swapaxes(qd[sl], -1, -2)
-        return _copy_windows(buf, _windows(qd[sl], kernel, 1, (kernel - 1) // 2, "attention"))
+        return _copy_windows(buf, _windows(qd[sl], kernel))
 
     qbuf = None if kernel is None else buffer(False, (dk, nq - o))
     p = buffer(taped or bool(_ATTENTION_MAPS), (nq, nk))

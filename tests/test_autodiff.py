@@ -285,24 +285,24 @@ class TestPrimitiveGradients:
         ("unfold_s2p1", lambda t, w: (unfold(
             matmul(t(24, 4), w).reshape(1, 4, 6, 4), 3, stride=2, padding=1, groups=2)
             * t(1, 2, 18, 6)).sum()),
-        ("conv_s2p1", lambda t, w: (tz.conv2d_grouped(
+        ("conv_grouped_k3", lambda t, w: (tz.conv2d_grouped(
             matmul(t(24, 4), w).reshape(1, 4, 6, 4),
-            t(6, 2, 3, 3), t(6,), stride=2, padding=1, groups=2) * t(1, 6, 3, 2)).sum()),
+            t(6, 2, 3, 3), t(6,), groups=2) * t(1, 6, 6, 4)).sum()),
         # depthwise, stride 1, same padding: the sepconv layout
         ("conv_dw_s1p1", lambda t, w: (tz.conv2d_grouped(
             matmul(t(24, 4), w).reshape(1, 4, 6, 4), matmul(t(9, 4), w).reshape(4, 1, 3, 3),
-            matmul(t(4, 4), w).sum(axis=-1), stride=1, padding=1, groups=4) * t(1, 4, 6, 4)).sum()),
-        # padding above k-1: the output gradient starts k-1-padding < 0 cells in
-        ("conv_k1_p2", lambda t, w: (tz.conv2d_grouped(
+            matmul(t(4, 4), w).sum(axis=-1), groups=4) * t(1, 4, 6, 4)).sum()),
+        # a 1x1 kernel: no padding, each window one cell
+        ("conv_k1", lambda t, w: (tz.conv2d_grouped(
             matmul(t(24, 4), w).reshape(1, 4, 6, 4), matmul(t(3, 4), w).reshape(6, 2, 1, 1),
-            matmul(t(6, 4), w).sum(axis=-1), stride=2, padding=2, groups=2) * t(1, 6, 5, 4)).sum()),
+            matmul(t(6, 4), w).sum(axis=-1), groups=2) * t(1, 6, 6, 4)).sum()),
         # a plain-array operand gets no gradient slot; the Tensor ones keep theirs
         ("conv_plain_input", lambda t, w: (tz.conv2d_grouped(
             t(1, 4, 6, 4).data, matmul(t(27, 4), w).reshape(6, 2, 3, 3),
-            matmul(t(6, 4), w).sum(axis=-1), stride=2, padding=1, groups=2) * t(1, 6, 3, 2)).sum()),
+            matmul(t(6, 4), w).sum(axis=-1), groups=2) * t(1, 6, 6, 4)).sum()),
         ("conv_plain_weight", lambda t, w: (tz.conv2d_grouped(
             matmul(t(24, 4), w).reshape(1, 4, 6, 4), t(6, 2, 3, 3).data,
-            matmul(t(6, 4), w).sum(axis=-1), stride=2, padding=1, groups=2) * t(1, 6, 3, 2)).sum()),
+            matmul(t(6, 4), w).sum(axis=-1), groups=2) * t(1, 6, 6, 4)).sum()),
     ])
     def test_backward_matches_central_differences(self, name, build):
         rng = Rng(17)

@@ -441,9 +441,13 @@ class TestConfigDefaults:
     @pytest.mark.parametrize("assignments,message", [
         (["model.mlp_ratio=0"], "mlp_ratio must be positive"),
         (["model.mlp_ratio=-1.5"], "mlp_ratio must be positive"),
+        # 0.01 * dim 32 rounds to an MLP of width 0
+        (["model.mlp_ratio=0.01"], "round every stage's MLP width to >= 1, got 0.01"),
         (["model.num_classes=1"], "num_classes must be >= 2"),
         (["model.patch=0"], "patch must be >= 1"),
         (["model.input=[1,8]"], "input must be (channels, height, width)"),
+        (["model.input=[1,-8,8]"], "input extents must be >= 1, got (1, -8, 8)"),
+        (["model.input=[1,0,8]"], "input extents must be >= 1, got (1, 0, 8)"),
         (["model.stages=[]"], "at least one stage is required"),
         (['model.stages=[{"kind": "ska", "depth": 0, "dim": 8, "heads": 2}]'],
          "stage depth must be >= 1"),
@@ -451,8 +455,9 @@ class TestConfigDefaults:
         (['model.stages=[{"kind": "ska", "depth": 1, "dim": 8, "heads": 2},'
           ' {"kind": "ska", "depth": 1, "dim": 8, "heads": 2}]',
           "model.downsample=[0]"], "downsample factors must be >= 1"),
-    ], ids=["mlp_ratio_0", "mlp_ratio_negative", "num_classes", "patch", "input", "no_stages",
-            "depth", "downsample_count", "downsample_factor"])
+    ], ids=["mlp_ratio_0", "mlp_ratio_negative", "mlp_width_0", "num_classes", "patch", "input",
+            "input_negative", "input_zero", "no_stages", "depth", "downsample_count",
+            "downsample_factor"])
     def test_invalid_model_config_exits_2_before_training(self, tmp_path, capsys,
                                                           assignments, message):
         out = tmp_path / "x"

@@ -107,7 +107,7 @@ class TestModel:
         tokens = Rng(7).normal((2, 24, 4))
         want = brute_conv2d(tokens.transpose(0, 2, 1).reshape(2, 4, 4, 6),
                             down.w.data, down.b.data, stride=2)
-        got = down(Tensor(tokens), (4, 6)).data
+        got = down(Tensor(tokens)).data
         assert rel_err(got, want.reshape(2, 6, 6).transpose(0, 2, 1)) <= 1e-12
 
     def test_backward_reaches_the_parameters_and_not_the_images(self):
@@ -259,6 +259,20 @@ class TestModel:
             return (model(x) * w).sum()
 
         rows = grad_check(f, model.named_parameters(), tolerance=1e-4)
+        assert all(r.passed for r in rows), [(r.name, r.max_rel_error)
+                                             for r in rows if not r.passed]
+
+    def test_full_model_grad_check_patch_2_three_channels(self):
+        # the stem and Downsample flatten each 2x2 patch of 3 (then 4)
+        # channels in (i, j, c) order and read their [D, C, 2, 2] weights so
+        cfg = ModelConfig(input=(3, 4, 8), patch=2, num_classes=2, mlp_ratio=1.0,
+                          stages=[{"kind": "mhsa", "depth": 1, "dim": 4, "heads": 1},
+                                  {"kind": "ska", "depth": 1, "dim": 4, "heads": 2}])
+        model = build_model(cfg, seed=1)
+        x = Tensor(Rng(2).normal((2, 3, 4, 8)))
+        w = Rng(3).normal((2, 2))
+        rows = grad_check(lambda: (model(x) * w).sum(), model.named_parameters(), tolerance=1e-4)
+        assert {"stem_w", "down1.w"} <= {r.name for r in rows}
         assert all(r.passed for r in rows), [(r.name, r.max_rel_error)
                                              for r in rows if not r.passed]
 

@@ -91,9 +91,10 @@ def test_wrong_parameter_extent_raises(inputs, which, change):
 @PROPERTY
 @given(st.integers(2, 64), st.integers(3, 17), st.integers(0, 2 ** 32))
 def test_bits_do_not_depend_on_the_input_layout(n, d, seed):
-    # a one-image transposed view [1, N, D], as `Downsample` returns it: its
-    # rows reshape to an F-ordered view, not a copy. Output (taped and
-    # untaped) and gradients equal those of the contiguous copy bit for bit
+    # a one-image transposed view [1, N, D], as a move of a channel-major
+    # [1, D, N] image returns it: its rows reshape to an F-ordered view, not
+    # a copy. Output (taped and untaped) and gradients equal those of the
+    # contiguous copy bit for bit
     rng = Rng(seed)
     view = rng.normal((1, d, n)).swapaxes(1, 2)
     gamma, beta, w = rng.normal((d,)), rng.normal((d,)), rng.normal((1, n, d))

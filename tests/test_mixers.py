@@ -231,8 +231,10 @@ class TestMixerConfig:
         (dict(key_init="xavier"), "unknown key_init 'xavier'"),
         (dict(kind="cska", grid=None), r"cska requires a \(grid_h, grid_w\) token grid"),
         (dict(kind="sepconv", grid=None), r"sepconv requires a \(grid_h, grid_w\) token grid"),
+        # a negative pair holds the tokens by product alone
+        (dict(kind="sepconv", grid=(-4, -4)), "grid extents must be >= 1, got -4x-4"),
     ], ids=["kind", "dim", "heads", "dropout_1", "dropout_negative", "key_init", "cska_grid",
-            "sepconv_grid"])
+            "sepconv_grid", "negative_grid"])
     def test_invalid_field_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             MixerConfig(**{**dict(kind="ska", dim=8, heads=2, tokens=16, grid=(4, 4)), **fields})

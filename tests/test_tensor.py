@@ -132,7 +132,8 @@ def unfold(x, k, *, stride=1, padding=0, groups=1):
     kernel offset (i, j). Backward is the scatter-add, in (i, j) order, a
     chunk of batch rows at a time. The reference the library's window
     builders (`conv2d_grouped`, `attention`'s windows form) are tested
-    against."""
+    against, so it builds its windows with numpy's `sliding_window_view`,
+    not with theirs."""
     xd = tz._data(x)
     if xd.ndim != 4:
         raise ShapeError(f"unfold: input must be [B, C, H, W], got {xd.shape}")
@@ -142,9 +143,13 @@ def unfold(x, k, *, stride=1, padding=0, groups=1):
                          f"stride={stride}, groups={groups}, padding={padding}")
     if C % groups:
         raise ShapeError(f"unfold: {C} channels not divisible by groups={groups}")
-    cols = tz._windows(xd, k, stride, padding, "unfold").copy()  # C splits into (G, C/G) for free
-    ho, wo = cols.shape[-2:]
     hp, wp = H + 2 * padding, W + 2 * padding
+    if hp < k or wp < k:
+        raise ShapeError(f"unfold: kernel {k} too large for input {H}x{W} with padding {padding}")
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).copy()  # [B, C, k, k, H', W']; C splits into (G, C/G)
+    ho, wo = cols.shape[-2:]
     group_shape = (B, groups, C // groups)
 
     def bwd(g):
@@ -162,14 +167,14 @@ def unfold(x, k, *, stride=1, padding=0, groups=1):
         return tz._make(cols.reshape(B, groups, C // groups * k * k, ho * wo), "unfold", (x,), bwd)
 
 
-def composed_conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
-    """The unfused reference for `conv2d_grouped`: unfold -> matmul of the
-    weight as [G, C_out/G, C_in/G*k*k] -> reshape -> add(bias)."""
-    b, _, h, _ = tz._data(x).shape
+def composed_conv2d(x, weight, bias=None, *, groups=1):
+    """The unfused reference for `conv2d_grouped`: unfold, same-padded ->
+    matmul of the weight as [G, C_out/G, C_in/G*k*k] -> reshape -> add(bias)."""
+    b, _, h, w = tz._data(x).shape
     cout, cg, k, _ = tz._data(weight).shape
-    cols = unfold(x, k, stride=stride, padding=padding, groups=groups)
+    cols = unfold(x, k, padding=(k - 1) // 2, groups=groups)
     out = matmul(tz.reshape(weight, (groups, cout // groups, cg * k * k)), cols)
-    out = tz.reshape(out, (b, cout, (h + 2 * padding - k) // stride + 1, -1))
+    out = tz.reshape(out, (b, cout, h, w))
     if bias is not None:
         out = tz.add(out, tz.reshape(bias, (cout, 1, 1)))
     return out
@@ -543,14 +548,14 @@ class TestConv2dGrouped:
         x = Tensor(Rng(0).normal((2, 3, 5, 5)))
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        out = conv2d_grouped(x, Tensor(w), stride=1, padding=1, groups=3)
+        out = conv2d_grouped(x, Tensor(w), groups=3)
         assert np.array_equal(out.data, x.data)
 
     def test_zero_weights_bias_only(self):
         x = Tensor(Rng(1).normal((1, 4, 3, 3)))
         w = Tensor(np.zeros((6, 2, 3, 3)))
         bias = Tensor(np.arange(6.0))
-        out = conv2d_grouped(x, w, bias, stride=1, padding=1, groups=2)
+        out = conv2d_grouped(x, w, bias, groups=2)
         for c in range(6):
             assert np.array_equal(out.data[0, c], np.full((3, 3), float(c)))
 
@@ -558,49 +563,48 @@ class TestConv2dGrouped:
         # 3x3 ones image, 3x3 ones kernel, pad 1: interior 9, corners 4, edges 6
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = conv2d_grouped(x, w, stride=1, padding=1).data[0, 0]
+        out = conv2d_grouped(x, w).data[0, 0]
         assert out[1, 1] == 9.0
         assert out[0, 0] == out[0, 2] == out[2, 0] == out[2, 2] == 4.0
         assert out[0, 1] == out[1, 0] == out[1, 2] == out[2, 1] == 6.0
         # two input channels double every window sum
         x2 = Tensor(np.ones((1, 2, 3, 3)))
         w2 = Tensor(np.ones((1, 2, 3, 3)))
-        out2 = conv2d_grouped(x2, w2, stride=1, padding=1).data[0, 0]
+        out2 = conv2d_grouped(x2, w2).data[0, 0]
         assert np.array_equal(out2, 2.0 * out)
         assert np.abs(out2 - brute_conv2d(x2.data, w2.data, padding=1)[0, 0]).max() == 0.0
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_matches_brute_force_ungrouped(self, stride, padding):
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_brute_force_ungrouped(self, k):
         x = Rng(7).normal((2, 3, 6, 5))
-        w = Rng(8).normal((4, 3, 3, 3))
+        w = Rng(8).normal((4, 3, k, k))
         b = Rng(9).normal((4,))
-        got = conv2d_grouped(Tensor(x), Tensor(w), Tensor(b),
-                             stride=stride, padding=padding).data
-        want = brute_conv2d(x, w, b, stride=stride, padding=padding)
+        got = conv2d_grouped(Tensor(x), Tensor(w), Tensor(b)).data
+        want = brute_conv2d(x, w, b, padding=(k - 1) // 2)
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
     def test_grouped_equals_independent_convs(self):
         groups = 3
         x = Rng(10).normal((2, 6, 4, 4))
         w = Rng(11).normal((9, 2, 3, 3))
-        whole = conv2d_grouped(Tensor(x), Tensor(w), stride=1, padding=1, groups=groups).data
+        whole = conv2d_grouped(Tensor(x), Tensor(w), groups=groups).data
         pieces = []
         for g in range(groups):
             xs = x[:, g * 2:(g + 1) * 2]
             ws = w[g * 3:(g + 1) * 3]
-            pieces.append(conv2d_grouped(Tensor(xs), Tensor(ws), stride=1, padding=1).data)
+            pieces.append(conv2d_grouped(Tensor(xs), Tensor(ws)).data)
         assert np.abs(whole - np.concatenate(pieces, axis=1)).max() < 1e-12
 
     def test_indivisible_groups(self):
         with pytest.raises(ShapeError, match="groups"):
             conv2d_grouped(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((4, 1, 3, 3))),
-                           stride=1, padding=1, groups=2)
+                           groups=2)
 
     def test_mac_count(self):
         x = Tensor(np.ones((1, 4, 8, 8)))
         w = Tensor(np.ones((6, 2, 3, 3)))
         with MacCounter() as c:
-            conv2d_grouped(x, w, stride=1, padding=1, groups=2)
+            conv2d_grouped(x, w, groups=2)
         assert c.macs == 6 * 8 * 8 * 2 * 9
 
     def test_empty_batch(self):
@@ -608,9 +612,9 @@ class TestConv2dGrouped:
         w = Tensor(Rng(12).normal((6, 2, 3, 3)))
         bias = Tensor(Rng(13).normal((6,)))
         with Tape() as tape:
-            out = conv2d_grouped(x, w, bias, stride=2, padding=1, groups=2)
+            out = conv2d_grouped(x, w, bias, groups=2)
             loss = out.sum()
-        assert out.shape == (0, 6, 3, 3)
+        assert out.shape == (0, 6, 5, 6)
         grads = backward(tape, loss)
         assert grads[x].shape == (0, 4, 5, 6)
         assert np.array_equal(grads[w], np.zeros((6, 2, 3, 3)))
@@ -623,10 +627,13 @@ class TestConv2dGrouped:
             conv2d_grouped(_zeros(1, 1, 5, 5), _zeros(1, 1, 0, 0), _zeros(1))
 
     @pytest.mark.parametrize("batch", [0, 3])
-    def test_kernel_too_large_for_any_batch(self, batch):
-        with pytest.raises(ShapeError, match="conv2d: kernel 6 too large for input 3x4 with padding 1"):
-            conv2d_grouped(Tensor(np.zeros((batch, 2, 3, 4))), Tensor(np.zeros((2, 1, 6, 6))),
-                           padding=1, groups=2)
+    def test_even_kernel_rejected_for_any_batch(self, batch):
+        # same padding is (k-1)/2 on every side; a kernel wider than the
+        # input is fine, an even one has no centre
+        x = np.ones((batch, 2, 3, 4))
+        with pytest.raises(ShapeError, match=re.escape("got (2, 1, 6, 6) (same padding needs an odd k)")):
+            conv2d_grouped(x, np.ones((2, 1, 6, 6)), groups=2)
+        assert conv2d_grouped(x, np.ones((2, 1, 7, 7)), groups=2).shape == x.shape
 
     def test_eval_forward_holds_one_chunk_of_windows(self):
         # batch-64 depthwise k=3: the output is 1 MiB and every window 9 MiB;
@@ -635,7 +642,7 @@ class TestConv2dGrouped:
         w, b = Tensor(Rng(15).normal((8, 1, 3, 3))), Tensor(Rng(16).normal((8,)))
         tracemalloc.start()
         try:
-            out = conv2d_grouped(x, w, b, padding=1, groups=8)
+            out = conv2d_grouped(x, w, b, groups=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -654,7 +661,7 @@ class TestConv2dGrouped:
         tracemalloc.start()
         try:
             with Tape() as tape:
-                out = conv2d_grouped(x, w, b, padding=1, groups=64)
+                out = conv2d_grouped(x, w, b, groups=64)
             held = tracemalloc.get_traced_memory()[0]
             (_, _, bwd), = tape.entries
             grads = bwd(g)
@@ -664,7 +671,7 @@ class TestConv2dGrouped:
         assert len(tape) == 1
         assert held - out.data.nbytes < 64 << 10, held - out.data.nbytes
         assert peak < window_copy // 2, peak
-        want, want_grads = _grads(lambda *a: composed_conv2d(*a, padding=1, groups=64), (x, w, b), g)
+        want, want_grads = _grads(lambda *a: composed_conv2d(*a, groups=64), (x, w, b), g)
         assert np.array_equal(out.data, want)
         assert np.array_equal(grads[1], want_grads[1]) and np.array_equal(grads[2], want_grads[2])
         assert np.abs(grads[0] - want_grads[0]).max() <= 1e-12 * np.abs(want_grads[0]).max()

@@ -17,29 +17,39 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=N
 
 
 @st.composite
-def conv_shapes(draw):
-    """(B, C, G, C_out, H, W, k, stride, padding) of a valid grouped conv."""
+def unfold_shapes(draw):
+    """(B, C, G, H, W, k, stride, padding) of a valid grouped unfold."""
     groups = draw(st.integers(1, 3))
     k = draw(st.integers(1, 4))
     padding = draw(st.integers(0, 2))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     assume(h + 2 * padding >= k and w + 2 * padding >= k)
     return (draw(st.integers(1, 2)), groups * draw(st.integers(1, 3)), groups,
-            groups * draw(st.integers(1, 3)), h, w, k, draw(st.integers(1, 3)), padding)
+            h, w, k, draw(st.integers(1, 3)), padding)
+
+
+@st.composite
+def conv_shapes(draw):
+    """(B, C, G, C_out, H, W, k) of a valid grouped conv: stride 1, k odd,
+    same padding, so a kernel may be wider than the input."""
+    groups = draw(st.integers(1, 3))
+    return (draw(st.integers(1, 2)), groups * draw(st.integers(1, 3)), groups,
+            groups * draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+            draw(st.sampled_from([1, 3, 5])))
 
 
 def _arrays(shape, seed):
-    b, c, g, cout, h, w, k, _, _ = shape
+    b, c, g, cout, h, w, k = shape
     rng = Rng(seed)
     return rng.normal((b, c, h, w)), rng.normal((cout, c // g, k, k)), rng.normal((cout,))
 
 
 @PROPERTY
-@given(conv_shapes(), st.integers(0, 2 ** 32))
+@given(unfold_shapes(), st.integers(0, 2 ** 32))
 def test_unfold_backward_is_the_adjoint(shape, seed):
     # <unfold(x), y> = <x, unfold^T(y)>, with unfold^T the taped backward
-    b, c, g, _, h, w, k, stride, padding = shape
-    x = Tensor(_arrays(shape, seed)[0])
+    b, c, g, h, w, k, stride, padding = shape
+    x = Tensor(Rng(seed).normal((b, c, h, w)))
     with Tape() as tape:
         cols = unfold(x, k, stride=stride, padding=padding, groups=g)
         y = Rng(seed + 1).normal(cols.shape)
@@ -53,24 +63,24 @@ def test_unfold_backward_is_the_adjoint(shape, seed):
 @PROPERTY
 @given(conv_shapes(), st.integers(0, 2 ** 32))
 def test_conv_matches_brute_force_and_counts_its_macs(shape, seed):
-    b, c, g, cout, h, w, k, stride, padding = shape
+    b, c, g, cout, h, w, k = shape
     x, wt, bias = _arrays(shape, seed)
     with MacCounter() as counter:
-        got = conv2d_grouped(Tensor(x), Tensor(wt), Tensor(bias),
-                             stride=stride, padding=padding, groups=g).data
-    want = brute_conv2d(x, wt, bias, stride=stride, padding=padding, groups=g)
-    assert got.shape == want.shape
+        got = conv2d_grouped(Tensor(x), Tensor(wt), Tensor(bias), groups=g).data
+    want = brute_conv2d(x, wt, bias, padding=(k - 1) // 2, groups=g)
+    assert got.shape == want.shape == (b, cout, h, w)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    _, _, ho, wo = want.shape
-    assert counter.macs == b * cout * ho * wo * (c // g) * k * k
+    assert counter.macs == b * cout * h * w * (c // g) * k * k
 
 
 @PROPERTY
 @given(conv_shapes(), st.integers(0, 2 ** 32),
        st.sampled_from(["rank", "groups", "groups<1", "stride<1", "padding<0", "kernel"]))
 def test_shape_errors(shape, seed, fault):
-    b, c, g, cout, h, w, k, stride, padding = shape
+    # stride and padding are unfold's alone; the conv is same-padded
+    b, c, g, cout, h, w, k = shape
     x, wt, _ = _arrays(shape, seed)
+    stride, padding = 1, (k - 1) // 2
     if fault == "rank":
         x = x[0]
     elif fault == "groups":
@@ -81,13 +91,14 @@ def test_shape_errors(shape, seed, fault):
         stride = -(seed % 2)
     elif fault == "padding<0":
         padding = -1
-    else:
-        k = max(h, w) + 2 * padding + 1
+    else:  # wider than the padded input for unfold, and even for the conv
+        k = 2 * (max(h, w) + padding + 1)
         wt = np.zeros((cout, c // g, k, k))
     with pytest.raises(ShapeError):
         unfold(Tensor(x), k, stride=stride, padding=padding, groups=g)
-    with pytest.raises(ShapeError):
-        conv2d_grouped(Tensor(x), Tensor(wt), stride=stride, padding=padding, groups=g)
+    if fault not in ("stride<1", "padding<0"):
+        with pytest.raises(ShapeError):
+            conv2d_grouped(Tensor(x), Tensor(wt), groups=g)
 
 
 def _unfold_by_offsets(xd, k, stride, padding, groups):
@@ -104,11 +115,11 @@ def _unfold_by_offsets(xd, k, stride, padding, groups):
 
 
 @PROPERTY
-@given(conv_shapes(), st.integers(0, 2 ** 32), st.integers(1, 2), st.booleans())
+@given(unfold_shapes(), st.integers(0, 2 ** 32), st.integers(1, 2), st.booleans())
 def test_unfold_equals_the_slice_loop(shape, seed, stride, strided_input):
     # bit for bit, on contiguous inputs and on strided views alike
-    b, c, g, _, h, w, k, _, padding = shape
-    xd = _arrays(shape, seed)[0]
+    b, c, g, h, w, k, _, padding = shape
+    xd = Rng(seed).normal((b, c, h, w))
     if strided_input:
         xd = np.ascontiguousarray(xd.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
     got = unfold(Tensor(xd), k, stride=stride, padding=padding, groups=g).data
@@ -135,14 +146,14 @@ def test_unfold_backward_is_the_same_in_any_chunking(monkeypatch):
 def test_conv_entry_matches_the_unfold_chain(shape, seed, with_bias):
     # one tape entry; forward, weight and bias gradients and MACs equal the
     # chain's bit for bit, and the input gradient agrees to rounding
-    _, _, g, _, _, _, _, stride, padding = shape
+    g = shape[2]
     x, wt, bias = _arrays(shape, seed)
 
     def run(conv):
         inputs = [Tensor(x), Tensor(wt)] + ([Tensor(bias)] if with_bias else [])
         with Tape() as tape:
             with MacCounter() as counter:
-                out = conv(*inputs, stride=stride, padding=padding, groups=g)
+                out = conv(*inputs, groups=g)
             entries = len(tape)
             loss = (out * Rng(seed + 1).normal(out.shape)).sum()
         grads = backward(tape, loss)
@@ -161,16 +172,15 @@ def test_conv_entry_matches_the_unfold_chain(shape, seed, with_bias):
 def test_conv_input_gradient_is_the_adjoint(shape, seed):
     # <conv(x, w), y> = <x, dx(y)>, with conv the brute-force loops and dx the
     # taped backward, bias-free; rounding is bounded by the sum of |products|
-    _, _, g, _, _, _, _, stride, padding = shape
+    g, padding = shape[2], (shape[-1] - 1) // 2
     x, wt, _ = _arrays(shape, seed)
     with Tape() as tape:
-        out = conv2d_grouped(Tensor(x), wt, stride=stride, padding=padding, groups=g)
+        out = conv2d_grouped(Tensor(x), wt, groups=g)
     (_, _, bwd), = tape.entries
     y = Rng(seed + 1).normal(out.shape)
     (dx,) = bwd(y)
-    lhs = float((brute_conv2d(x, wt, stride=stride, padding=padding, groups=g) * y).sum())
-    scale = float((brute_conv2d(np.abs(x), np.abs(wt), stride=stride, padding=padding,
-                                groups=g) * np.abs(y)).sum())
+    lhs = float((brute_conv2d(x, wt, padding=padding, groups=g) * y).sum())
+    scale = float((brute_conv2d(np.abs(x), np.abs(wt), padding=padding, groups=g) * np.abs(y)).sum())
     assert abs(lhs - float((x * dx).sum())) <= 1e-12 * scale
 
 
@@ -181,15 +191,15 @@ def test_conv_is_the_same_in_any_chunking_taped_or_not(shape, batch, seed, budge
     # included) against the default: forward, dx, dW, dbias and MACs bit for
     # bit; an untaped forward equals a taped one (both reuse one chunk buffer
     # of windows, which dW copies again)
-    _, _, g, _, _, _, _, stride, padding = shape
+    g = shape[2]
     x, wt, bias = _arrays((batch,) + shape[1:], seed)
 
     def run():
         inputs = [Tensor(x), Tensor(wt), Tensor(bias)]
         with MacCounter() as counter:
-            untaped = conv2d_grouped(*inputs, stride=stride, padding=padding, groups=g).data
+            untaped = conv2d_grouped(*inputs, groups=g).data
             with Tape() as tape:
-                out = conv2d_grouped(*inputs, stride=stride, padding=padding, groups=g)
+                out = conv2d_grouped(*inputs, groups=g)
         (_, _, bwd), = tape.entries
         assert np.array_equal(untaped, out.data)
         return [out.data, *bwd(Rng(seed + 1).normal(out.shape))], counter.macs
