@@ -314,18 +314,16 @@ def cmd_count(args) -> int:
         cfg.qkv_bias = True
     report = count_ops(cfg)
 
-    factor = 2 if args.flops_convention == "2x" else 1
-    unit = "flops(2x)" if factor == 2 else "MACs"
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
     print(f"mixer={report.kind} N={report.tokens} D={report.dim} H={report.heads} "
           f"k={report.kernel} bias_free={not cfg.qkv_bias} cls={cfg.cls_token}")
-    closed_f = "n/a" if report.flops_closed is None else str(report.flops_closed * factor)
+    closed_f = "n/a" if report.flops_closed is None else str(report.flops_closed)
     closed_p = "n/a" if report.params_closed is None else str(report.params_closed)
-    print(f"  {unit}:   counted {report.flops_counted * factor}  closed {closed_f}")
+    print(f"  MACs:   counted {report.flops_counted}  closed {closed_f}")
     print(f"  params: counted {report.params_counted}  closed {closed_p}")
     if report.ratio_closed is not None:
-        print(f"  ratio (closed): {float(report.ratio_closed) * factor:.6g}")
+        print(f"  ratio (closed): {float(report.ratio_closed):.6g}")
     if report.closed_form_comparable:
         match = (report.flops_counted == report.flops_closed
                  and report.params_counted == report.params_closed)
@@ -509,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="token grid as 'GH,GW' (default: near-square)")
     p.add_argument("--bias-free", action="store_true", help="count without biases (matches closed forms)")
     p.add_argument("--cls-token", action="store_true")
-    p.add_argument("--flops-convention", choices=["mac", "2x"], default="mac")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("curves", help="F/P-ratio curves for all four mixers")
@@ -554,8 +551,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename or e}", file=sys.stderr)
+    except OSError as e:
+        what = f"file not found: {e.filename or e}" if isinstance(e, FileNotFoundError) else e
+        print(f"error: {what}", file=sys.stderr)
         return 2
     except (NumericsError, OracleError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -87,6 +87,13 @@ class Block(Module):
         return x + self.mlp(self.norm2(x))
 
 
+def _require_ints(what: str, values) -> None:
+    """Integer fields take integers: a float or a bool is an error, not truncated."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{what} takes integers, got {value!r}")
+
+
 @dataclass
 class StageConfig:
     kind: str
@@ -96,6 +103,8 @@ class StageConfig:
 
     def __post_init__(self):
         self.kind = canonical_kind(self.kind)
+        for name in ("depth", "dim", "heads"):
+            _require_ints(f"stage {name}", [getattr(self, name)])
         if self.depth < 1:
             raise ConfigError(f"stage depth must be >= 1, got {self.depth}")
 
@@ -107,7 +116,7 @@ class ModelConfig:
     ``downsample`` lists the patch-merge factor applied before each stage
     after the first (length = len(stages) - 1; defaults to all 2s).
     Mixer-level options (activation, scaled, qkv_bias, cls_token, kernel,
-    dropout, key_init) apply to every stage and default to MixerConfig's.
+    dropout) apply to every stage and default to MixerConfig's.
     """
 
     input: tuple[int, int, int]
@@ -122,12 +131,12 @@ class ModelConfig:
     qkv_bias: bool = MixerConfig.qkv_bias
     kernel: int = MixerConfig.kernel
     dropout: float = MixerConfig.dropout
-    key_init: str = MixerConfig.key_init
 
     def __post_init__(self):
         self.input = tuple(self.input)
         if len(self.input) != 3:
             raise ConfigError(f"input must be (channels, height, width), got {self.input}")
+        _require_ints("model.input", self.input)
         if min(self.input) < 1:
             raise ConfigError(f"input extents must be >= 1, got {self.input}")
         try:
@@ -139,7 +148,7 @@ class ModelConfig:
             raise ConfigError("at least one stage is required")
         if not self.downsample:
             self.downsample = [2] * (len(self.stages) - 1)
-        self.downsample = [int(f) for f in self.downsample]
+        _require_ints("model.downsample", self.downsample)
         if len(self.downsample) != len(self.stages) - 1:
             raise ConfigError(
                 f"downsample needs {len(self.stages) - 1} factors, got {len(self.downsample)}")
@@ -257,7 +266,6 @@ class Model(Module):
                 tokens=grid[0] * grid[1], grid=grid,
                 activation=cfg.activation, scaled=cfg.scaled, qkv_bias=cfg.qkv_bias,
                 cls_token=cfg.cls_token, kernel=cfg.kernel, dropout=cfg.dropout,
-                key_init=cfg.key_init,
             )
             stage = Stage(stage_cfg, mixer_cfg, cfg.mlp_ratio, rng.split(f"stage{s}"))
             self.add_module(f"stage{s}", stage)
@@ -443,12 +451,9 @@ def _read(f, n: int, what: str) -> bytes:
     return blob
 
 
-def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int, int]:
-    """Rebuild a model from a checkpoint file.
-
-    When `config` is given, it must match the stored one; differing fields
-    are listed in the error. Returns (model, rng_seed, step). Any malformed
-    file raises CheckpointError.
+def load_checkpoint(path) -> tuple[Model, int, int]:
+    """Rebuild a model from a checkpoint file. Returns (model, rng_seed,
+    step). Any malformed file raises CheckpointError.
     """
     # read from memory, so a corrupt length field cannot ask for gigabytes
     with io.BytesIO(Path(path).read_bytes()) as f:
@@ -467,16 +472,12 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[Model, int
             if pos_embed is not True:
                 raise CheckpointError(
                     f"checkpoint stores pos_embed={json.dumps(pos_embed)}; only true is supported")
-            stored_cfg = ModelConfig.from_dict(cfg_dict)
-            model = build_model(stored_cfg, seed=0)
+            # files from before key_init was dropped store it; it only chose an
+            # initialisation that the stored parameters replace
+            cfg_dict.pop("key_init", None)
+            model = build_model(ModelConfig.from_dict(cfg_dict), seed=0)
         except (ConfigError, TypeError, ValueError, AttributeError) as e:
             raise CheckpointError(f"checkpoint config is invalid: {e}") from None
-        if config is not None:
-            want, got = config.to_dict(), stored_cfg.to_dict()
-            diff = [k for k in want if want[k] != got[k]]
-            if diff:
-                detail = ", ".join(f"{k}: given {want[k]!r} != stored {got[k]!r}" for k in diff)
-                raise CheckpointError(f"checkpoint config mismatch: {detail}")
         seed, step = struct.unpack("<QQ", _read(f, 16, "seed/step"))
         n_params = struct.unpack("<I", _read(f, 4, "parameter count"))[0]
 

@@ -71,7 +71,6 @@ class MixerConfig:
     cls_token: bool = False
     kernel: int = 3
     dropout: float = 0.0
-    key_init: str = "normal"  # "normal" (unit std) or "trunc" (std 0.02, clipped at 2 sigma)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -85,8 +84,6 @@ class MixerConfig:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.key_init not in ("normal", "trunc"):
-            raise ConfigError(f"unknown key_init {self.key_init!r}")
         if self.kind in ("ska", "cska") and self.tokens < 1:
             raise ConfigError(f"{self.kind} requires a fixed token count, got {self.tokens}")
         if self.grid is not None:
@@ -140,19 +137,6 @@ def mixer_properties(kind: str) -> MixerProperties:
 
 def _linear_init(rng: Rng, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.normal((fan_in, fan_out)) * (1.0 / math.sqrt(fan_in)))
-
-
-def _key_param(rng: Rng, shape, key_init: str) -> Tensor:
-    """A static key: unit normal, or ``"trunc"`` (std 0.02, redrawn beyond 2 sigma)."""
-    z = rng.normal(shape)
-    if key_init == "trunc":
-        while True:
-            bad = np.abs(z) > 2.0
-            if not bad.any():
-                break
-            z[bad] = rng.normal((int(bad.sum()),))
-        z = z * 0.02
-    return Tensor(z)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -235,8 +219,7 @@ class Attention(TokenMixer):
             self.bv = self.register("bv", Tensor(np.zeros(d)))
             self.bo = self.register("bo", Tensor(np.zeros(d)))
         if cfg.kind == "ska":
-            self.key = self.register(
-                "key", _key_param(rng.split("key"), (h, cfg.total_tokens, dh), cfg.key_init))
+            self.key = self.register("key", Tensor(rng.split("key").normal((h, cfg.total_tokens, dh))))
         elif cfg.kind == "cska":
             k = cfg.kernel
             self.conv_b = self.cls_key = None
@@ -245,8 +228,7 @@ class Attention(TokenMixer):
             if cfg.qkv_bias:
                 self.conv_b = self.register("conv_b", Tensor(np.zeros(h * n)))
             if cfg.cls_token:
-                self.cls_key = self.register(
-                    "cls_key", _key_param(rng.split("cls_key"), (h, 1, dh), cfg.key_init))
+                self.cls_key = self.register("cls_key", Tensor(rng.split("cls_key").normal((h, 1, dh))))
 
     def _logit_operands(self, x: Tensor, q: Tensor) -> dict:
         """`tensor.attention`'s logit operands; cska's are its query image, its
@@ -305,7 +287,7 @@ class SepConv(TokenMixer):
             raise ShapeError(f"sepconv built for a {gh}x{gw} grid but input carries {n} tokens")
         h = T.matmul(x, self.pw1, self.b1)
         img = h.transpose(0, 2, 1).reshape(b, d, gh, gw)
-        img = T.conv2d_grouped(img, self.dw, self.bdw, groups=d)
+        img = T.conv2d_grouped(img, self.dw, self.bdw)
         h = img.reshape(b, d, n).transpose(0, 2, 1)
         return self._dropout(T.matmul(h, self.pw2, self.b2))
 

@@ -261,7 +261,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# the batch loops of `conv2d_grouped` and `attention` take chunks of about this many bytes
+# the batch loops of `conv2d_grouped` and `attention`, and `Model._forward`'s
+# untaped sub-batches, take chunks of about this many bytes
 _CHUNK_BYTES = 1 << 20
 
 
@@ -491,17 +492,16 @@ def _window_products(lhs: np.ndarray, windows, out: np.ndarray) -> None:
         np.matmul(lhs, _copy_windows(buf, windows(lo, lo + rows)), out=out[lo:lo + rows])
 
 
-def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-                   groups: int = 1) -> Tensor:
-    """Grouped 2D convolution, stride 1 and same padding, as one taped entry.
+def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Depthwise 2D convolution, stride 1 and same padding, as one taped entry.
 
-    x: [B, C_in, H, W], zero-padded by (k-1)/2; weight: [C_out, C_in/groups,
-    k, k], k odd; bias: [C_out]; output [B, C_out, H, W]. Each output group
-    reads only its own input group. The forward takes the matmul of the
-    weight as [G, C_out/G, C_in/G*k*k] with the input's window columns
-    [G, C_in/G*k*k, H*W] (im2col), then adds the bias in place: out_elems *
-    (C_in/groups) * k^2 MACs. Output, weight and bias gradients equal those
-    of the im2col -> matmul -> reshape -> add chain bit for bit.
+    x: [B, C, H, W], zero-padded by (k-1)/2; weight: [C, 1, k, k], k odd, one
+    kernel per channel; bias: [C]; output [B, C, H, W]. Each output channel
+    reads only its own input channel. The forward takes the matmul of the
+    weight as [C, 1, k*k] with the input's window columns [C, k*k, H*W]
+    (im2col), then adds the bias in place: out_elems * k^2 MACs. Output,
+    weight and bias gradients equal those of the im2col -> matmul -> reshape
+    -> add chain bit for bit.
 
     The windows are copied and multiplied a chunk of batch rows at a time,
     about `_CHUNK_BYTES` of windows each, into one reused chunk buffer
@@ -514,54 +514,46 @@ def conv2d_grouped(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     The input gradient is the transposed convolution (Dumoulin & Visin,
     arXiv 1603.07285), here a same-padded one too: the output gradient's
-    windows correlated with the kernel flipped in both spatial axes and
-    transposed within each group, in chunks of batch rows the same way. It
-    sums the chain's column-gradient scatter in another order, so it agrees
-    with it to rounding (tested to 1e-12 relative).
+    windows correlated with the kernel flipped in both spatial axes, in
+    chunks of batch rows the same way. It sums the chain's column-gradient
+    scatter in another order, so it agrees with it to rounding (tested to
+    1e-12 relative).
     """
     xd, wd = _data(x), _data(weight)
     if xd.ndim != 4:
         raise ShapeError(f"conv2d: input must be [B, C, H, W], got {xd.shape}")
-    if wd.ndim != 4 or wd.shape[2] != wd.shape[3] or wd.shape[2] % 2 == 0:
-        raise ShapeError(f"conv2d: weight must be [C_out, C_in/G, k, k] with k >= 1, got "
-                         f"{wd.shape} (same padding needs an odd k)")
-    B, cin, H, W = xd.shape
-    cout, cg, k, _ = wd.shape
-    if groups < 1 or cin % groups or cout % groups:
-        raise ShapeError(f"conv2d: channels ({cin} in, {cout} out) not divisible by groups={groups}")
-    if cg != cin // groups:
-        raise ShapeError(f"conv2d: weight expects {cg} channels/group but input provides {cin // groups}")
+    B, C, H, W = xd.shape
+    if wd.ndim != 4 or wd.shape[:2] != (C, 1) or wd.shape[2] != wd.shape[3] or wd.shape[2] % 2 == 0:
+        raise ShapeError(f"conv2d: weight must be [{C}, 1, k, k] with k >= 1 for {C} input "
+                         f"channels, got {wd.shape} (same padding needs an odd k)")
+    k = wd.shape[2]
     bd = None if bias is None else _data(bias)
-    if bd is not None and bd.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {bd.shape} != ({cout},)")
-    cog = cout // groups
-    w3 = wd.reshape(groups, cog, cg * k * k)
-    _add_macs(B * groups * cog * cg * k * k * H * W)
-    out = np.empty((B, groups, cog, H * W))
+    if bd is not None and bd.shape != (C,):
+        raise ShapeError(f"conv2d: bias shape {bd.shape} != ({C},)")
+    w3 = wd.reshape(C, 1, k * k)
+    _add_macs(B * C * k * k * H * W)
+    out = np.empty((B, C, 1, H * W))
     _window_products(w3, lambda lo, hi: _windows(xd[lo:hi], k), out)
-    out = out.reshape(B, cout, H, W)
+    out = out.reshape(B, C, H, W)
     if bd is not None:
-        out += bd.reshape(cout, 1, 1)
+        out += bd.reshape(C, 1, 1)
 
     def bwd(g):
         grads = []
         if isinstance(x, Tensor):
-            # [G, C_in/G, C_out/G*k*k]: flipped, transposed per group, C-contiguous for BLAS
-            flipped = np.ascontiguousarray(
-                wd.reshape(groups, cog, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4))
-            dx = np.empty((B, groups, cg, H * W))
-            _window_products(flipped.reshape(groups, cg, cog * k * k),
-                             lambda lo, hi: _windows(g[lo:hi], k), dx)
-            grads.append(dx.reshape(B, cin, H, W))
+            flipped = np.ascontiguousarray(wd[:, :, ::-1, ::-1]).reshape(w3.shape)  # C-contiguous for BLAS
+            dx = np.empty((B, C, 1, H * W))
+            _window_products(flipped, lambda lo, hi: _windows(g[lo:hi], k), dx)
+            grads.append(dx.reshape(B, C, H, W))
         if isinstance(weight, Tensor):  # each row's product, as one matmul makes it, then their sum
-            g4, rows = g.reshape(B, groups, cog, H * W), _chunk_rows(8 * cin * k * k * H * W)
-            buf, dw = np.empty((min(rows, B), groups, cg * k * k, H * W)), np.empty((B,) + w3.shape)
+            g4, rows = g.reshape(B, C, 1, H * W), _chunk_rows(8 * C * k * k * H * W)
+            buf, dw = np.empty((min(rows, B), C, k * k, H * W)), np.empty((B,) + w3.shape)
             for lo in range(0, B, rows):
                 cols = _copy_windows(buf, _windows(xd[lo:lo + rows], k))
                 np.matmul(g4[lo:lo + rows], np.swapaxes(cols, -1, -2), out=dw[lo:lo + rows])
             grads.append(_unbroadcast(dw, w3.shape).reshape(wd.shape))
         if isinstance(bias, Tensor):
-            grads.append(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
+            grads.append(_unbroadcast(g, (C, 1, 1)).reshape(C))
         return tuple(grads)
 
     return _make(out, "conv2d_grouped", (x, weight, bias), bwd)

@@ -31,7 +31,6 @@ class TrainConfig:
     batch_size: int = 32
     steps: int = 1000
     seed: int = 0
-    schedule: str = "constant"  # constant | cosine
     clip_norm: float = 5.0  # 0 disables clipping
     eval_every: int = 0  # 0: evaluate only at the end
     early_stop_acc: float = 0.0  # stop once eval accuracy reaches this (0 disables)
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.optimizer != "adamw":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
@@ -279,13 +276,6 @@ def step(model, images: np.ndarray, labels: np.ndarray, optimizer,
     return loss.data.item(), grad_norm
 
 
-def _lr_at(cfg: TrainConfig, step_index: int, total_steps: int) -> float:
-    if cfg.schedule == "cosine":
-        frac = (step_index - 1) / max(total_steps, 1)
-        return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
-    return cfg.lr
-
-
 def train(model, dataset: Dataset, cfg: TrainConfig,
           eval_dataset: Dataset | None = None) -> RunLog:
     """Run the loop; per-epoch order comes from a seeded Fisher-Yates shuffle.
@@ -310,7 +300,6 @@ def train(model, dataset: Dataset, cfg: TrainConfig,
                 cursor = 0
             idx = perm[cursor:cursor + cfg.batch_size]
             cursor += cfg.batch_size
-            optimizer.lr = _lr_at(cfg, step_index, cfg.steps)
             loss, grad_norm = step(model, dataset.images[idx], dataset.labels[idx],
                                    optimizer, cfg.clip_norm)
             if not math.isfinite(loss):

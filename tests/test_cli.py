@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -11,7 +12,7 @@ import scipy
 from skattn import (ConfigError, MixerConfig, ModelConfig, TrainConfig, build_model,
                     load_checkpoint, load_idx_images, save_checkpoint)
 from skattn import cli, complexity
-from skattn.cli import DEFAULT_CONFIG, load_config, main
+from skattn.cli import DEFAULT_CONFIG, build_parser, load_config, main
 from test_train import _write_idx_pair
 
 
@@ -166,6 +167,7 @@ class TestCountCommand:
     def test_closed_matches_counted(self, capsys):
         assert run("count", "--mixer", "ska", "--N", "196", "--D", "384", "--bias-free") == 0
         out = capsys.readouterr().out
+        assert "  MACs:   counted " in out
         assert "closed form match: yes" in out
 
     def test_kernel_five_warns_and_reports_instrumented(self, capsys):
@@ -184,12 +186,6 @@ class TestCountCommand:
         captured = capsys.readouterr()
         assert "closed form match: NO" in captured.out
         assert "instrumented counts do not match the closed forms" in captured.err
-
-    def test_flops_convention_2x(self, capsys):
-        assert run("count", "--mixer", "mhsa", "--N", "16", "--D", "8", "--bias-free",
-                   "--flops-convention", "2x") == 0
-        out = capsys.readouterr().out
-        assert str(2 * 8192) in out
 
 
 class TestCurvesCommand:
@@ -455,9 +451,24 @@ class TestConfigDefaults:
         (['model.stages=[{"kind": "ska", "depth": 1, "dim": 8, "heads": 2},'
           ' {"kind": "ska", "depth": 1, "dim": 8, "heads": 2}]',
           "model.downsample=[0]"], "downsample factors must be >= 1"),
+        # integer fields inside list leaves take JSON integers: no float, no bool
+        (['model.stages=[{"kind": "ska", "depth": 1.5, "dim": 8, "heads": 2}]'],
+         "stage depth takes integers, got 1.5"),
+        (['model.stages=[{"kind": "ska", "depth": true, "dim": 8, "heads": 2}]'],
+         "stage depth takes integers, got True"),
+        (['model.stages=[{"kind": "ska", "depth": 1, "dim": 8.0, "heads": 2}]'],
+         "stage dim takes integers, got 8.0"),
+        (['model.stages=[{"kind": "ska", "depth": 1, "dim": 8, "heads": 2.0}]'],
+         "stage heads takes integers, got 2.0"),
+        (["model.input=[1, 8.0, 8]"], "model.input takes integers, got 8.0"),
+        # int() would truncate 2.5 and train at factor 2
+        (['model.stages=[{"kind": "ska", "depth": 1, "dim": 8, "heads": 2},'
+          ' {"kind": "ska", "depth": 1, "dim": 8, "heads": 2}]',
+          "model.downsample=[2.5]"], "model.downsample takes integers, got 2.5"),
     ], ids=["mlp_ratio_0", "mlp_ratio_negative", "mlp_width_0", "num_classes", "patch", "input",
             "input_negative", "input_zero", "no_stages", "depth", "downsample_count",
-            "downsample_factor"])
+            "downsample_factor", "depth_float", "depth_bool", "dim_float", "heads_float",
+            "input_float", "downsample_float"])
     def test_invalid_model_config_exits_2_before_training(self, tmp_path, capsys,
                                                           assignments, message):
         out = tmp_path / "x"
@@ -501,13 +512,13 @@ class TestConfigDefaults:
         assert model.cfg.input == (1, 6, 6)
 
     def test_config_surface(self):
-        """Every settable value; a new knob must show up here as a diff."""
+        """Every settable value and every flag; a new knob must show up here as a diff."""
         mixer = ["kind", "dim", "heads", "tokens", "grid", "activation", "scaled", "qkv_bias",
-                 "cls_token", "kernel", "dropout", "key_init"]
+                 "cls_token", "kernel", "dropout"]
         model = ["input", "patch", "stages", "num_classes", "downsample", "cls_token",
-                 "mlp_ratio", "activation", "scaled", "qkv_bias", "kernel", "dropout", "key_init"]
+                 "mlp_ratio", "activation", "scaled", "qkv_bias", "kernel", "dropout"]
         train = ["optimizer", "lr", "weight_decay", "betas", "batch_size", "steps",
-                 "seed", "schedule", "clip_norm", "eval_every", "early_stop_acc"]
+                 "seed", "clip_norm", "eval_every", "early_stop_acc"]
         data = ["kind", "n_train", "n_test", "seed", "images", "labels", "test_images",
                 "test_labels"]
         assert [f.name for f in fields(MixerConfig)] == mixer
@@ -516,6 +527,24 @@ class TestConfigDefaults:
         leaves = {f"{section}.{key}" for section, keys in DEFAULT_CONFIG.items() for key in keys}
         assert leaves == {f"{section}.{key}" for section, keys in
                           (("model", model), ("train", train), ("data", data)) for key in keys}
+        config = ["--out", "--seed", "--config", "--set"]
+        sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert {name: [flag for a in p._actions if a.dest != "help" for flag in a.option_strings]
+                for name, p in sub.choices.items()} == {
+            "train": config,
+            "gradcheck": ["--out", "--mixer", "--N", "--D", "--heads", "--seeds", "--tolerance"],
+            "count": ["--mixer", "--N", "--D", "--heads", "--kernel", "--grid", "--bias-free",
+                      "--cls-token"],
+            "curves": ["--out", "--mode", "--fixed", "--min", "--max", "--step"],
+            "attnmap": ["--out", "--checkpoint", "--images", "--labels", "--index", "--seed"],
+            "sweep": config + ["--heads"],
+            "ablate": config + ["--mixer", "--activations"],
+        }
+
+    @pytest.mark.parametrize("assignment", ["model.key_init=normal", "train.schedule=constant"])
+    def test_removed_options_are_unknown_keys(self, tmp_path, capsys, assignment):
+        assert run("train", *FAST_TRAIN, "--set", assignment, "--out", str(tmp_path / "x")) == 2
+        assert f"unknown config key {assignment.split('=')[0]!r}" in capsys.readouterr().err
 
 
 class TestSetCoercion:
@@ -711,3 +740,23 @@ class TestIdxPairRule:
         assert rc == 2
         assert "data.images" in capsys.readouterr().err
         assert not (tmp_path / "x" / "model.skaf").exists()
+
+
+class TestOsErrors:
+    """An OSError from any command exits 2 with one `error:` line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["attnmap", "--checkpoint", "DIR", "--out", "OUT"],
+        ["train", "--config", "DIR", "--out", "OUT"],
+        ["train", *FAST_TRAIN, "--set", "data.images=DIR", "--set", "data.labels=DIR", "--out", "OUT"],
+        ["curves", "--max", "8", "--out", "FILE"],
+        ["curves", "--max", "8", "--out", "FILE/sub"],
+    ], ids=["attnmap_checkpoint_dir", "train_config_dir", "train_idx_dir", "curves_out_file",
+            "curves_out_under_file"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        (tmp_path / "DIR").mkdir()
+        (tmp_path / "FILE").write_text("")
+        argv = [re.sub(r"\b(DIR|FILE|OUT)\b", lambda m: str(tmp_path / m[1]), a) for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err

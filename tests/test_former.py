@@ -678,22 +678,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    def test_config_mismatch_lists_fields(self, tmp_path):
-        model = build_model(toy_model_config(), seed=0)
-        path = tmp_path / "model.skaf"
-        save_checkpoint(model, path)
-        other = toy_model_config(num_classes=5, patch=2, input=(1, 16, 16))
-        with pytest.raises(CheckpointError) as err:
-            load_checkpoint(path, config=other)
-        assert "num_classes" in str(err.value) and "patch" in str(err.value)
-
-    def test_matching_config_accepted(self, tmp_path):
-        model = build_model(toy_model_config(), seed=0)
-        path = tmp_path / "model.skaf"
-        save_checkpoint(model, path)
-        loaded, _, _ = load_checkpoint(path, config=toy_model_config())
-        assert loaded.cfg.to_dict() == model.cfg.to_dict()
-
     @staticmethod
     def _with_config(blob: bytes, edit) -> bytes:
         """The checkpoint with its config blob replaced by `edit(blob)`, and
@@ -703,13 +687,13 @@ class TestCheckpoint:
         return blob[:8] + struct.pack("<I", len(cfg_blob)) + cfg_blob + blob[12 + cfg_len:]
 
     @classmethod
-    def _with_pos_embed(cls, blob: bytes, value) -> bytes:
-        """The checkpoint with `pos_embed` put back into its config blob, as
-        files written while ModelConfig had that field carry it."""
+    def _with_old_field(cls, blob: bytes, key: str, value) -> bytes:
+        """The checkpoint with the removed field `key` put back into its
+        config blob, as files written while ModelConfig had that field carry it."""
         def edit(cfg_blob):
             cfg = json.loads(cfg_blob)
-            assert "pos_embed" not in cfg
-            return json.dumps({**cfg, "pos_embed": value}, sort_keys=True).encode()
+            assert key not in cfg
+            return json.dumps({**cfg, key: value}, sort_keys=True).encode()
         return cls._with_config(blob, edit)
 
     @pytest.mark.parametrize("edit", [
@@ -718,7 +702,9 @@ class TestCheckpoint:
         lambda b: b"[1, 2]",
         lambda b: b.replace(b'"heads": 4', b'"heads": "x"'),
         lambda b: b.replace(b'"mlp_ratio": 2.0', b'"mlp_ratio": "2"'),
-    ], ids=["flipped-byte", "not-utf8", "json-list", "heads-string", "mlp-ratio-string"])
+        lambda b: b.replace(b'"depth": 2', b'"depth": true'),
+    ], ids=["flipped-byte", "not-utf8", "json-list", "heads-string", "mlp-ratio-string",
+            "depth-bool"])
     def test_malformed_config_blob_rejected(self, tmp_path, edit):
         path = tmp_path / "model.skaf"
         save_checkpoint(build_model(toy_model_config(), seed=0), path)
@@ -749,15 +735,29 @@ class TestCheckpoint:
         x = Rng(4).normal((2, 1, 8, 8))
         path = tmp_path / "model.skaf"
         save_checkpoint(model, path, seed=3, step=11)
-        path.write_bytes(self._with_pos_embed(path.read_bytes(), True))
+        path.write_bytes(self._with_old_field(path.read_bytes(), "pos_embed", True))
         loaded, seed, step = load_checkpoint(path)
         assert (seed, step) == (3, 11)
+        assert np.array_equal(loaded(x).data, model(x).data)
+
+    @pytest.mark.parametrize("key_init", ["normal", "trunc"])
+    def test_old_file_with_key_init_loads_bit_exact(self, tmp_path, key_init):
+        # key_init only chose how the static keys were drawn, and the stored
+        # keys replace them, so any stored value loads
+        model = build_model(toy_model_config(kind="ska", cls_token=True), seed=3)
+        x = Rng(4).normal((2, 1, 8, 8))
+        path = tmp_path / "model.skaf"
+        save_checkpoint(model, path, seed=3, step=11)
+        path.write_bytes(self._with_old_field(path.read_bytes(), "key_init", key_init))
+        loaded, seed, step = load_checkpoint(path)
+        assert (seed, step) == (3, 11)
+        assert loaded.cfg == model.cfg
         assert np.array_equal(loaded(x).data, model(x).data)
 
     def test_old_file_with_pos_embed_false_rejected(self, tmp_path):
         path = tmp_path / "model.skaf"
         save_checkpoint(build_model(toy_model_config(), seed=0), path)
-        path.write_bytes(self._with_pos_embed(path.read_bytes(), False))
+        path.write_bytes(self._with_old_field(path.read_bytes(), "pos_embed", False))
         with pytest.raises(CheckpointError, match="pos_embed"):
             load_checkpoint(path)
 

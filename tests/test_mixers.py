@@ -117,15 +117,9 @@ class TestSka:
     def test_cls_token_key_has_extra_row(self):
         mixer, cfg = make("ska", tokens=16, cls_token=True)
         assert mixer.key.shape == (2, 17, 4)
+        assert mixer.key.data.std() > 0.5  # a unit-normal draw, CLS row included
         out = mixer(Tensor(Rng(0).normal((1, 17, 8))))
         assert out.shape == (1, 17, 8)
-
-    def test_trunc_key_init_mode(self):
-        unit, _ = make("ska", tokens=64, seed=0)
-        trunc, _ = make("ska", tokens=64, seed=0, key_init="trunc")
-        assert np.abs(trunc.key.data).max() <= 0.04 + 1e-12  # 2 sigma at std 0.02
-        assert 0.015 < trunc.key.data.std() < 0.025
-        assert unit.key.data.std() > 0.5
 
 
 class TestCska:
@@ -228,12 +222,11 @@ class TestMixerConfig:
         (dict(heads=0), "dim and heads must be positive"),
         (dict(dropout=1.0), r"dropout must be in \[0, 1\)"),
         (dict(dropout=-0.1), r"dropout must be in \[0, 1\)"),
-        (dict(key_init="xavier"), "unknown key_init 'xavier'"),
         (dict(kind="cska", grid=None), r"cska requires a \(grid_h, grid_w\) token grid"),
         (dict(kind="sepconv", grid=None), r"sepconv requires a \(grid_h, grid_w\) token grid"),
         # a negative pair holds the tokens by product alone
         (dict(kind="sepconv", grid=(-4, -4)), "grid extents must be >= 1, got -4x-4"),
-    ], ids=["kind", "dim", "heads", "dropout_1", "dropout_negative", "key_init", "cska_grid",
+    ], ids=["kind", "dim", "heads", "dropout_1", "dropout_negative", "cska_grid",
             "sepconv_grid", "negative_grid"])
     def test_invalid_field_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):

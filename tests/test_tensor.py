@@ -167,16 +167,17 @@ def unfold(x, k, *, stride=1, padding=0, groups=1):
         return tz._make(cols.reshape(B, groups, C // groups * k * k, ho * wo), "unfold", (x,), bwd)
 
 
-def composed_conv2d(x, weight, bias=None, *, groups=1):
-    """The unfused reference for `conv2d_grouped`: unfold, same-padded ->
-    matmul of the weight as [G, C_out/G, C_in/G*k*k] -> reshape -> add(bias)."""
-    b, _, h, w = tz._data(x).shape
-    cout, cg, k, _ = tz._data(weight).shape
-    cols = unfold(x, k, padding=(k - 1) // 2, groups=groups)
-    out = matmul(tz.reshape(weight, (groups, cout // groups, cg * k * k)), cols)
-    out = tz.reshape(out, (b, cout, h, w))
+def composed_conv2d(x, weight, bias=None):
+    """The unfused reference for `conv2d_grouped`: unfold, same-padded, one
+    group per channel -> matmul of the weight as [C, 1, k*k] -> reshape ->
+    add(bias)."""
+    b, c, h, w = tz._data(x).shape
+    k = tz._data(weight).shape[-1]
+    cols = unfold(x, k, padding=(k - 1) // 2, groups=c)
+    out = matmul(tz.reshape(weight, (c, 1, k * k)), cols)
+    out = tz.reshape(out, (b, c, h, w))
     if bias is not None:
-        out = tz.add(out, tz.reshape(bias, (cout, 1, 1)))
+        out = tz.add(out, tz.reshape(bias, (c, 1, 1)))
     return out
 
 
@@ -548,15 +549,15 @@ class TestConv2dGrouped:
         x = Tensor(Rng(0).normal((2, 3, 5, 5)))
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        out = conv2d_grouped(x, Tensor(w), groups=3)
+        out = conv2d_grouped(x, Tensor(w))
         assert np.array_equal(out.data, x.data)
 
     def test_zero_weights_bias_only(self):
         x = Tensor(Rng(1).normal((1, 4, 3, 3)))
-        w = Tensor(np.zeros((6, 2, 3, 3)))
-        bias = Tensor(np.arange(6.0))
-        out = conv2d_grouped(x, w, bias, groups=2)
-        for c in range(6):
+        w = Tensor(np.zeros((4, 1, 3, 3)))
+        bias = Tensor(np.arange(4.0))
+        out = conv2d_grouped(x, w, bias)
+        for c in range(4):
             assert np.array_equal(out.data[0, c], np.full((3, 3), float(c)))
 
     def test_all_ones_window_sums(self):
@@ -567,63 +568,48 @@ class TestConv2dGrouped:
         assert out[1, 1] == 9.0
         assert out[0, 0] == out[0, 2] == out[2, 0] == out[2, 2] == 4.0
         assert out[0, 1] == out[1, 0] == out[1, 2] == out[2, 1] == 6.0
-        # two input channels double every window sum
+        # each channel has its own kernel: one of twos doubles every window sum
         x2 = Tensor(np.ones((1, 2, 3, 3)))
-        w2 = Tensor(np.ones((1, 2, 3, 3)))
-        out2 = conv2d_grouped(x2, w2).data[0, 0]
-        assert np.array_equal(out2, 2.0 * out)
-        assert np.abs(out2 - brute_conv2d(x2.data, w2.data, padding=1)[0, 0]).max() == 0.0
+        w2 = Tensor(np.ones((2, 1, 3, 3)) * np.array([1.0, 2.0]).reshape(2, 1, 1, 1))
+        out2 = conv2d_grouped(x2, w2).data[0]
+        assert np.array_equal(out2[0], out) and np.array_equal(out2[1], 2.0 * out)
+        assert np.abs(out2 - brute_conv2d(x2.data, w2.data, padding=1, groups=2)[0]).max() == 0.0
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_matches_brute_force_ungrouped(self, k):
-        x = Rng(7).normal((2, 3, 6, 5))
-        w = Rng(8).normal((4, 3, k, k))
-        b = Rng(9).normal((4,))
+        # one channel, where the depthwise conv is the ungrouped one
+        x = Rng(7).normal((2, 1, 6, 5))
+        w = Rng(8).normal((1, 1, k, k))
+        b = Rng(9).normal((1,))
         got = conv2d_grouped(Tensor(x), Tensor(w), Tensor(b)).data
         want = brute_conv2d(x, w, b, padding=(k - 1) // 2)
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
-    def test_grouped_equals_independent_convs(self):
-        groups = 3
-        x = Rng(10).normal((2, 6, 4, 4))
-        w = Rng(11).normal((9, 2, 3, 3))
-        whole = conv2d_grouped(Tensor(x), Tensor(w), groups=groups).data
-        pieces = []
-        for g in range(groups):
-            xs = x[:, g * 2:(g + 1) * 2]
-            ws = w[g * 3:(g + 1) * 3]
-            pieces.append(conv2d_grouped(Tensor(xs), Tensor(ws)).data)
-        assert np.abs(whole - np.concatenate(pieces, axis=1)).max() < 1e-12
-
-    def test_indivisible_groups(self):
-        with pytest.raises(ShapeError, match="groups"):
-            conv2d_grouped(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((4, 1, 3, 3))),
-                           groups=2)
-
     def test_mac_count(self):
+        # out_elems * k^2
         x = Tensor(np.ones((1, 4, 8, 8)))
-        w = Tensor(np.ones((6, 2, 3, 3)))
+        w = Tensor(np.ones((4, 1, 3, 3)))
         with MacCounter() as c:
-            conv2d_grouped(x, w, groups=2)
-        assert c.macs == 6 * 8 * 8 * 2 * 9
+            conv2d_grouped(x, w)
+        assert c.macs == 4 * 8 * 8 * 9
 
     def test_empty_batch(self):
         x = Tensor(np.zeros((0, 4, 5, 6)))
-        w = Tensor(Rng(12).normal((6, 2, 3, 3)))
-        bias = Tensor(Rng(13).normal((6,)))
+        w = Tensor(Rng(12).normal((4, 1, 3, 3)))
+        bias = Tensor(Rng(13).normal((4,)))
         with Tape() as tape:
-            out = conv2d_grouped(x, w, bias, groups=2)
+            out = conv2d_grouped(x, w, bias)
             loss = out.sum()
-        assert out.shape == (0, 6, 5, 6)
+        assert out.shape == (0, 4, 5, 6)
         grads = backward(tape, loss)
         assert grads[x].shape == (0, 4, 5, 6)
-        assert np.array_equal(grads[w], np.zeros((6, 2, 3, 3)))
-        assert np.array_equal(grads[bias], np.zeros(6))
+        assert np.array_equal(grads[w], np.zeros((4, 1, 3, 3)))
+        assert np.array_equal(grads[bias], np.zeros(4))
 
     def test_kernel_of_extent_zero_rejected(self):
         # a 0x0 kernel would return the bias alone and count 0 MACs
-        with pytest.raises(ShapeError, match=re.escape("conv2d: weight must be [C_out, C_in/G, k, k] "
-                                                       "with k >= 1, got (1, 1, 0, 0)")):
+        with pytest.raises(ShapeError, match=re.escape("conv2d: weight must be [1, 1, k, k] with k >= 1 "
+                                                       "for 1 input channels, got (1, 1, 0, 0)")):
             conv2d_grouped(_zeros(1, 1, 5, 5), _zeros(1, 1, 0, 0), _zeros(1))
 
     @pytest.mark.parametrize("batch", [0, 3])
@@ -632,8 +618,8 @@ class TestConv2dGrouped:
         # input is fine, an even one has no centre
         x = np.ones((batch, 2, 3, 4))
         with pytest.raises(ShapeError, match=re.escape("got (2, 1, 6, 6) (same padding needs an odd k)")):
-            conv2d_grouped(x, np.ones((2, 1, 6, 6)), groups=2)
-        assert conv2d_grouped(x, np.ones((2, 1, 7, 7)), groups=2).shape == x.shape
+            conv2d_grouped(x, np.ones((2, 1, 6, 6)))
+        assert conv2d_grouped(x, np.ones((2, 1, 7, 7))).shape == x.shape
 
     def test_eval_forward_holds_one_chunk_of_windows(self):
         # batch-64 depthwise k=3: the output is 1 MiB and every window 9 MiB;
@@ -642,7 +628,7 @@ class TestConv2dGrouped:
         w, b = Tensor(Rng(15).normal((8, 1, 3, 3))), Tensor(Rng(16).normal((8,)))
         tracemalloc.start()
         try:
-            out = conv2d_grouped(x, w, b, groups=8)
+            out = conv2d_grouped(x, w, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -661,7 +647,7 @@ class TestConv2dGrouped:
         tracemalloc.start()
         try:
             with Tape() as tape:
-                out = conv2d_grouped(x, w, b, groups=64)
+                out = conv2d_grouped(x, w, b)
             held = tracemalloc.get_traced_memory()[0]
             (_, _, bwd), = tape.entries
             grads = bwd(g)
@@ -671,7 +657,7 @@ class TestConv2dGrouped:
         assert len(tape) == 1
         assert held - out.data.nbytes < 64 << 10, held - out.data.nbytes
         assert peak < window_copy // 2, peak
-        want, want_grads = _grads(lambda *a: composed_conv2d(*a, groups=64), (x, w, b), g)
+        want, want_grads = _grads(composed_conv2d, (x, w, b), g)
         assert np.array_equal(out.data, want)
         assert np.array_equal(grads[1], want_grads[1]) and np.array_equal(grads[2], want_grads[2])
         assert np.abs(grads[0] - want_grads[0]).max() <= 1e-12 * np.abs(want_grads[0]).max()
@@ -777,12 +763,12 @@ class TestPlumbing:
         (lambda: tz.broadcast_to(_zeros(3), (2, 4)), "broadcast: cannot expand"),
         (lambda: tz.log_softmax_rows(_zeros(2, 0)), "log_softmax: empty last axis"),
         (lambda: tz.dropout(_zeros(3), 1.0, Rng(0)), "dropout rate must be in [0, 1)"),
-        (lambda: conv2d_grouped(_zeros(1, 3, 5, 5), _zeros(4, 3, 3, 2)),
-         "conv2d: weight must be [C_out, C_in/G, k, k]"),
-        (lambda: conv2d_grouped(_zeros(1, 4, 5, 5), _zeros(4, 1, 3, 3), groups=2),
-         "conv2d: weight expects 1 channels/group but input provides 2"),
-        (lambda: conv2d_grouped(_zeros(1, 3, 5, 5), _zeros(4, 3, 3, 3), _zeros(3)),
-         "conv2d: bias shape (3,) != (4,)"),
+        (lambda: conv2d_grouped(_zeros(1, 3, 5, 5), _zeros(3, 1, 3, 2)),
+         "conv2d: weight must be [3, 1, k, k]"),
+        (lambda: conv2d_grouped(_zeros(1, 4, 5, 5), _zeros(2, 1, 3, 3)),
+         "conv2d: weight must be [4, 1, k, k] with k >= 1 for 4 input channels, got (2, 1, 3, 3)"),
+        (lambda: conv2d_grouped(_zeros(1, 3, 5, 5), _zeros(3, 1, 3, 3), _zeros(4)),
+         "conv2d: bias shape (4,) != (3,)"),
     ], ids=["index_K", "negative_index", "negative_label", "index_count", "concat_rank",
             "broadcast", "log_softmax_empty", "dropout_rate", "conv_weight_rank",
             "conv_weight_channels", "conv_bias"])

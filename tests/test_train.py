@@ -298,13 +298,6 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="step"):
             train(toy_model(), ds, cfg)
 
-    def test_cosine_schedule_decays(self):
-        from skattn.train import _lr_at
-        cfg = TrainConfig(lr=1.0, schedule="cosine")
-        assert _lr_at(cfg, 1, 100) == pytest.approx(1.0)
-        assert _lr_at(cfg, 51, 100) == pytest.approx(0.5, abs=0.02)
-        assert _lr_at(cfg, 100, 100) < 0.01
-
     def test_runlog_csv_shape(self):
         ds = synth_dataset("stripe_orientation", 32, seed=0)
         test = synth_dataset("stripe_orientation", 16, seed=1)
@@ -330,12 +323,12 @@ class TestTrainLoop:
 
         monkeypatch.setattr(tr, "step", spy)
         ds = synth_dataset("stripe_orientation", 32, seed=0)
-        cfg = TrainConfig(steps=6, batch_size=8, lr=0.01, schedule="cosine", clip_norm=0.5, seed=0)
+        cfg = TrainConfig(steps=6, batch_size=8, lr=0.01, clip_norm=0.5, seed=0)
         log = train(toy_model(), ds, cfg)
         rows = [line.split(",") for line in log.to_csv().strip().splitlines()[1:]]
         assert [(float(l), float(g), float(lr)) for _, l, g, lr, _ in rows] == seen
-        assert [lr for _, _, lr in seen] == [tr._lr_at(cfg, s, 6) for s in range(1, 7)]
-        assert len(set(lr for _, _, lr in seen)) == 6 and all(g > 0 for _, g, _ in seen)
+        assert [lr for _, _, lr in seen] == [cfg.lr] * 6  # the rate is constant
+        assert len(set(g for _, g, _ in seen)) == 6 and all(g > 0 for _, g, _ in seen)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -345,8 +338,6 @@ class TestTrainLoop:
         for optimizer in ("lion", "sgd"):
             with pytest.raises(ConfigError, match=f"unknown optimizer '{optimizer}'"):
                 TrainConfig(optimizer=optimizer)
-        with pytest.raises(ConfigError, match="unknown schedule 'step'"):
-            TrainConfig(schedule="step")
         for steps in (0, -3):
             with pytest.raises(ConfigError, match="train.steps"):
                 TrainConfig(steps=steps)

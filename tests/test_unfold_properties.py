@@ -30,18 +30,16 @@ def unfold_shapes(draw):
 
 @st.composite
 def conv_shapes(draw):
-    """(B, C, G, C_out, H, W, k) of a valid grouped conv: stride 1, k odd,
-    same padding, so a kernel may be wider than the input."""
-    groups = draw(st.integers(1, 3))
-    return (draw(st.integers(1, 2)), groups * draw(st.integers(1, 3)), groups,
-            groups * draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6)),
-            draw(st.sampled_from([1, 3, 5])))
+    """(B, C, H, W, k) of a valid depthwise conv: stride 1, k odd, same
+    padding, so a kernel may be wider than the input."""
+    return (draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+            draw(st.integers(1, 6)), draw(st.sampled_from([1, 3, 5])))
 
 
 def _arrays(shape, seed):
-    b, c, g, cout, h, w, k = shape
+    b, c, h, w, k = shape
     rng = Rng(seed)
-    return rng.normal((b, c, h, w)), rng.normal((cout, c // g, k, k)), rng.normal((cout,))
+    return rng.normal((b, c, h, w)), rng.normal((c, 1, k, k)), rng.normal((c,))
 
 
 @PROPERTY
@@ -63,28 +61,30 @@ def test_unfold_backward_is_the_adjoint(shape, seed):
 @PROPERTY
 @given(conv_shapes(), st.integers(0, 2 ** 32))
 def test_conv_matches_brute_force_and_counts_its_macs(shape, seed):
-    b, c, g, cout, h, w, k = shape
+    b, c, h, w, k = shape
     x, wt, bias = _arrays(shape, seed)
     with MacCounter() as counter:
-        got = conv2d_grouped(Tensor(x), Tensor(wt), Tensor(bias), groups=g).data
-    want = brute_conv2d(x, wt, bias, padding=(k - 1) // 2, groups=g)
-    assert got.shape == want.shape == (b, cout, h, w)
+        got = conv2d_grouped(Tensor(x), Tensor(wt), Tensor(bias)).data
+    want = brute_conv2d(x, wt, bias, padding=(k - 1) // 2, groups=c)
+    assert got.shape == want.shape == (b, c, h, w)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    assert counter.macs == b * cout * h * w * (c // g) * k * k
+    assert counter.macs == b * c * h * w * k * k
 
 
 @PROPERTY
 @given(conv_shapes(), st.integers(0, 2 ** 32),
        st.sampled_from(["rank", "groups", "groups<1", "stride<1", "padding<0", "kernel"]))
 def test_shape_errors(shape, seed, fault):
-    # stride and padding are unfold's alone; the conv is same-padded
-    b, c, g, cout, h, w, k = shape
+    # stride, padding and groups are unfold's alone; the conv is depthwise
+    # and same-padded, and its "groups" fault is kernels for c + 1 channels
+    b, c, h, w, k = shape
     x, wt, _ = _arrays(shape, seed)
-    stride, padding = 1, (k - 1) // 2
+    g, stride, padding = c, 1, (k - 1) // 2
     if fault == "rank":
         x = x[0]
     elif fault == "groups":
         g = c + 1
+        wt = np.zeros((c + 1, 1, k, k))
     elif fault == "groups<1":
         g = -(seed % 2)  # 0 or -1
     elif fault == "stride<1":
@@ -93,12 +93,12 @@ def test_shape_errors(shape, seed, fault):
         padding = -1
     else:  # wider than the padded input for unfold, and even for the conv
         k = 2 * (max(h, w) + padding + 1)
-        wt = np.zeros((cout, c // g, k, k))
+        wt = np.zeros((c, 1, k, k))
     with pytest.raises(ShapeError):
         unfold(Tensor(x), k, stride=stride, padding=padding, groups=g)
-    if fault not in ("stride<1", "padding<0"):
+    if fault not in ("groups<1", "stride<1", "padding<0"):
         with pytest.raises(ShapeError):
-            conv2d_grouped(Tensor(x), Tensor(wt), groups=g)
+            conv2d_grouped(Tensor(x), Tensor(wt))
 
 
 def _unfold_by_offsets(xd, k, stride, padding, groups):
@@ -146,14 +146,13 @@ def test_unfold_backward_is_the_same_in_any_chunking(monkeypatch):
 def test_conv_entry_matches_the_unfold_chain(shape, seed, with_bias):
     # one tape entry; forward, weight and bias gradients and MACs equal the
     # chain's bit for bit, and the input gradient agrees to rounding
-    g = shape[2]
     x, wt, bias = _arrays(shape, seed)
 
     def run(conv):
         inputs = [Tensor(x), Tensor(wt)] + ([Tensor(bias)] if with_bias else [])
         with Tape() as tape:
             with MacCounter() as counter:
-                out = conv(*inputs, groups=g)
+                out = conv(*inputs)
             entries = len(tape)
             loss = (out * Rng(seed + 1).normal(out.shape)).sum()
         grads = backward(tape, loss)
@@ -172,10 +171,10 @@ def test_conv_entry_matches_the_unfold_chain(shape, seed, with_bias):
 def test_conv_input_gradient_is_the_adjoint(shape, seed):
     # <conv(x, w), y> = <x, dx(y)>, with conv the brute-force loops and dx the
     # taped backward, bias-free; rounding is bounded by the sum of |products|
-    g, padding = shape[2], (shape[-1] - 1) // 2
+    g, padding = shape[1], (shape[-1] - 1) // 2
     x, wt, _ = _arrays(shape, seed)
     with Tape() as tape:
-        out = conv2d_grouped(Tensor(x), wt, groups=g)
+        out = conv2d_grouped(Tensor(x), wt)
     (_, _, bwd), = tape.entries
     y = Rng(seed + 1).normal(out.shape)
     (dx,) = bwd(y)
@@ -191,15 +190,14 @@ def test_conv_is_the_same_in_any_chunking_taped_or_not(shape, batch, seed, budge
     # included) against the default: forward, dx, dW, dbias and MACs bit for
     # bit; an untaped forward equals a taped one (both reuse one chunk buffer
     # of windows, which dW copies again)
-    g = shape[2]
     x, wt, bias = _arrays((batch,) + shape[1:], seed)
 
     def run():
         inputs = [Tensor(x), Tensor(wt), Tensor(bias)]
         with MacCounter() as counter:
-            untaped = conv2d_grouped(*inputs, groups=g).data
+            untaped = conv2d_grouped(*inputs).data
             with Tape() as tape:
-                out = conv2d_grouped(*inputs, groups=g)
+                out = conv2d_grouped(*inputs)
         (_, _, bwd), = tape.entries
         assert np.array_equal(untaped, out.data)
         return [out.data, *bwd(Rng(seed + 1).normal(out.shape))], counter.macs
